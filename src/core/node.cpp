@@ -171,16 +171,16 @@ void Node::RecordRoundMetrics(const RoundRecord& rec) {
   obs_.binary_steps->Observe(static_cast<double>(rec.binary_steps));
 }
 
-void Node::SubmitTransaction(const Transaction& tx) {
-  if (tx_verifier_.VerifyOne(tx)) {
-    mempool_.Add(tx, ledger_.accounts().NextNonceOf(tx.from));
+void Node::SubmitTransaction(const Transaction& tx, const Hash256& id) {
+  if (tx_verifier_.VerifyOne(tx, id)) {
+    mempool_.Add(tx, id, ledger_.accounts().NextNonceOf(tx.from));
   }
 }
 
 void Node::GossipTransaction(const Transaction& tx) {
-  SubmitTransaction(tx);
   auto msg = std::make_shared<TransactionMessage>();
   msg->tx = tx;
+  SubmitTransaction(tx, msg->DedupId());
   GossipMessage(msg);
 }
 
@@ -484,15 +484,14 @@ void Node::MaybePropose() {
   if (obs_.blocks_proposed != nullptr) {
     obs_.blocks_proposed->Increment();
   }
-  Block block = BuildBlockProposal();
-  block.proposer_vrf = sort.hash;
-  block.proposer_proof = sort.proof;
+  auto block_msg = std::make_shared<BlockMessage>();
+  block_msg->block = BuildBlockProposal();
+  block_msg->block.proposer_vrf = sort.hash;
+  block_msg->block.proposer_proof = sort.proof;
 
   auto priority_msg = std::make_shared<PriorityMessage>(
       MakePriorityMessage(key_, current_round_, sort.hash, sort.proof, sort.votes,
                           *crypto_.signer));
-  auto block_msg = std::make_shared<BlockMessage>();
-  block_msg->block = block;
 
   // Small priority message first so the network can discard lower-priority
   // blocks early, then the block itself. (The ablation skips the priority
@@ -501,7 +500,7 @@ void Node::MaybePropose() {
     GossipMessage(priority_msg);
   }
   GossipMessage(block_msg);
-  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, HashPrefix(block.Hash()));
+  Trace(TraceKind::kProposalGossiped, 0, sort.votes, 0, HashPrefix(block_msg->DedupId()));
 }
 
 void Node::GossipMessage(const MessagePtr& msg) {
@@ -650,8 +649,9 @@ void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
     proof = blk->block.proposer_proof;
     msg_round = blk->block.round;
     // Transaction signatures are context-free: start them regardless of the
-    // round check below so ValidateBlockContents' batch verify hits the cache.
-    tx_verifier_.Prewarm(blk->block.txns);
+    // round check below so ValidateBlockContents' batch verify hits the cache
+    // (unless the block's own verdict is already cached).
+    tx_verifier_.PrewarmBlock(blk->DedupId(), blk->block.txns);
   } else {
     return;
   }
@@ -679,24 +679,33 @@ void Node::PrewarmMessage(const MessagePtr& msg, VerifyPool* pool) {
   });
 }
 
-bool Node::ValidateBlockContents(const Block& block) const {
+uint64_t Node::ValidateBlockContents(const BlockMessage& msg) {
+  const Block& block = msg.block;
   if (block.round != current_round_ || block.prev_hash != ledger_.tip_hash()) {
-    return false;
+    return 0;
   }
   // Timestamp: greater than the previous block's and approximately current
   // (within an hour), §8.1.
   if (block.round > 1) {
     if (block.timestamp <= ledger_.Tip().timestamp) {
-      return false;
+      return 0;
     }
   }
   if (block.timestamp > sim_->now() + Hours(1) || block.timestamp + Hours(1) < sim_->now()) {
-    return false;
+    return 0;
+  }
+  // Everything below is a pure function of the block and the chain ending at
+  // the tip (the round context is derived from that chain).
+  const std::pair<Hash256, Hash256> memo_key(msg.DedupId(), ledger_.tip_hash());
+  auto memo = proposal_.validated_blocks.find(memo_key);
+  if (memo != proposal_.validated_blocks.end()) {
+    return memo->second;
   }
   // Proposer credentials.
-  if (VerifyProposerSortition(block.proposer, block.proposer_vrf, block.proposer_proof, ctx_) ==
-      0) {
-    return false;
+  const uint64_t votes =
+      VerifyProposerSortition(block.proposer, block.proposer_vrf, block.proposer_proof, ctx_);
+  if (votes == 0) {
+    return 0;
   }
   // Seed: VRF(seed_r || r+1) under the proposer's key (§5.2).
   Writer alpha;
@@ -705,18 +714,20 @@ bool Node::ValidateBlockContents(const Block& block) const {
   auto seed_out = crypto_.vrf->Verify(block.proposer, alpha.buffer(), block.next_seed_proof);
   if (!seed_out ||
       SeedBytes::FromSpan(std::span<const uint8_t>(seed_out->data(), 32)) != block.next_seed) {
-    return false;
+    return 0;
   }
-  // Transactions: batch signature verification (fanned across the verify
-  // pool, free for gossip-prewarmed entries) plus applicability via the
+  // Transactions: the block's cached signature verdict (one batch
+  // verification per distinct block, fanned across the verify pool and free
+  // for gossip-prewarmed entries) plus applicability via the
   // conflict-partitioned checker. Both verdicts are worker-count independent.
-  if (!tx_verifier_.VerifyBatch(block.txns)) {
-    return false;
+  if (!tx_verifier_.VerifyBlock(msg.DedupId(), block.txns)) {
+    return 0;
   }
   if (!applier_.CheckBlock(block.txns, ledger_.accounts())) {
-    return false;
+    return 0;
   }
-  return true;
+  proposal_.validated_blocks.emplace(memo_key, votes);
+  return votes;
 }
 
 // ---------------------------------------------------------------------------
@@ -784,12 +795,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
       return blk->block.round > current_round_ ? GossipVerdict::kDeliverOnly
                                                : GossipVerdict::kReject;
     }
-    if (!ValidateBlockContents(blk->block)) {
-      return GossipVerdict::kReject;
-    }
-    uint64_t votes =
-        VerifyProposerSortition(blk->block.proposer, blk->block.proposer_vrf,
-                                blk->block.proposer_proof, ctx_);
+    const uint64_t votes = ValidateBlockContents(*blk);
     if (votes == 0) {
       return GossipVerdict::kReject;
     }
@@ -804,7 +810,7 @@ GossipVerdict Node::ValidateForRelay(const MessagePtr& msg) {
     // Relay payments with a valid signature and a nonce that is not already
     // spent; full applicability is checked at proposal time. The cached
     // verifier makes relay copies a lookup, not a signature check.
-    if (!tx_verifier_.VerifyOne(txn->tx)) {
+    if (!tx_verifier_.VerifyOne(txn->tx, txn->DedupId())) {
       return GossipVerdict::kReject;
     }
     if (txn->tx.nonce < ledger_.accounts().NextNonceOf(txn->tx.from)) {
@@ -899,7 +905,7 @@ void Node::HandleMessage(const MessagePtr& msg) {
     return;
   }
   if (auto txn = std::dynamic_pointer_cast<const TransactionMessage>(msg)) {
-    SubmitTransaction(txn->tx);
+    SubmitTransaction(txn->tx, txn->DedupId());
     return;
   }
 }
@@ -963,15 +969,11 @@ void Node::HandleBlock(const std::shared_ptr<const BlockMessage>& msg) {
     return;
   }
   const Block& block = msg->block;
-  if (!ValidateBlockContents(block)) {
-    return;
-  }
-  uint64_t votes = VerifyProposerSortition(block.proposer, block.proposer_vrf,
-                                           block.proposer_proof, ctx_);
+  const uint64_t votes = ValidateBlockContents(*msg);
   if (votes == 0) {
     return;
   }
-  Hash256 hash = block.Hash();
+  const Hash256& hash = msg->DedupId();
   Hash256 priority = ProposalPriority(block.proposer_vrf, votes);
   if (obs_.blocks_validated != nullptr) {
     obs_.blocks_validated->Increment();

@@ -93,8 +93,11 @@ class Node : public BaEnvironment {
   // lock.
   void AttachObservability(MetricsRegistry* metrics, RoundTracer* tracer);
 
-  // Adds a payment to the pending pool (§4, Figure 1).
-  void SubmitTransaction(const Transaction& tx);
+  // Adds a payment to the pending pool (§4, Figure 1) if its signature
+  // verifies.
+  void SubmitTransaction(const Transaction& tx) { SubmitTransaction(tx, tx.Id()); }
+  // As above, for a caller that already holds `id` == `tx.Id()`.
+  void SubmitTransaction(const Transaction& tx, const Hash256& id);
 
   // Submits a payment *and* gossips it network-wide, the way a client
   // attached to this node would (Figure 1).
@@ -195,6 +198,15 @@ class Node : public BaEnvironment {
 
   // Builds this node's block proposal for the current round.
   Block BuildBlockProposal();
+
+  // Validates a received block's contents (§8.1) and returns its proposer's
+  // sortition votes, 0 if the block is invalid (garbage, never a candidate).
+  // The cheap checks (round, previous hash, timestamp window) run on every
+  // call; the expensive ones (proposer sortition, seed VRF, signatures,
+  // applicability) run once per (block id, ledger tip hash) and are
+  // remembered for the round only when they pass, so the relay validator and
+  // the delivery handler share one validation of each delivered block.
+  uint64_t ValidateBlockContents(const BlockMessage& msg);
 
   // Serves a catch-up request from local chain + certificate storage. A
   // sharded node stops at its first certificate gap (partial batch). Virtual
@@ -316,10 +328,6 @@ class Node : public BaEnvironment {
   uint64_t VerifyProposerSortition(const PublicKey& pk, const VrfOutput& sorthash,
                                    const VrfProof& proof, const RoundContext& ctx) const;
 
-  // Validates a received block's contents (§8.1); on failure the block is
-  // treated as garbage (never a candidate).
-  bool ValidateBlockContents(const Block& block) const;
-
   void RememberFutureMessage(uint64_t round, const MessagePtr& msg);
   void ReplayBufferedMessages(uint64_t round);
 
@@ -423,6 +431,9 @@ class Node : public BaEnvironment {
     std::unordered_map<PublicKey, Hash256, FixedBytesHasher> block_hash_by_proposer;
     // Proposers caught equivocating this round (§10.4 optimization).
     std::unordered_set<PublicKey, FixedBytesHasher> banned_proposers;
+    // Blocks whose expensive checks passed: (block id, ledger tip hash) ->
+    // proposer votes (see ValidateBlockContents).
+    std::map<std::pair<Hash256, Hash256>, uint64_t> validated_blocks;
   };
   ProposalState proposal_;
 

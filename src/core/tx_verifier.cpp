@@ -4,13 +4,16 @@
 #include <condition_variable>
 #include <mutex>
 
+#include "src/common/serialize.h"
+#include "src/crypto/sha256.h"
+
 namespace algorand {
 
-bool TxSigVerifier::VerifyOne(const Transaction& tx) const {
+bool TxSigVerifier::VerifyOne(const Transaction& tx, const Hash256& id) const {
   if (cache_ == nullptr) {
     return ComputeOne(tx) != 0;
   }
-  return cache_->GetOrCompute(tx.Id(), [&] { return ComputeOne(tx); }) != 0;
+  return cache_->GetOrCompute(id, [&] { return ComputeOne(tx); }) != 0;
 }
 
 bool TxSigVerifier::VerifyBatch(const std::vector<Transaction>& txns) const {
@@ -50,6 +53,31 @@ bool TxSigVerifier::VerifyBatch(const std::vector<Transaction>& txns) const {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return pending == 0; });
   return all_ok.load(std::memory_order_relaxed);
+}
+
+bool TxSigVerifier::VerifyBlock(const Hash256& block_id,
+                                const std::vector<Transaction>& txns) const {
+  if (cache_ == nullptr) {
+    return VerifyBatch(txns);
+  }
+  return cache_->GetOrCompute(BlockVerdictKey(block_id),
+                              [&]() -> uint64_t { return VerifyBatch(txns) ? 1 : 0; }) != 0;
+}
+
+Hash256 TxSigVerifier::BlockVerdictKey(const Hash256& block_id) {
+  static constexpr char kTag[] = "algorand.block-signature-verdict";
+  Writer w;
+  w.Raw(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(kTag), sizeof(kTag) - 1));
+  w.Fixed(block_id);
+  return Sha256::Hash(w.buffer());
+}
+
+void TxSigVerifier::PrewarmBlock(const Hash256& block_id,
+                                 const std::vector<Transaction>& txns) const {
+  if (cache_ != nullptr && cache_->Contains(BlockVerdictKey(block_id))) {
+    return;
+  }
+  Prewarm(txns);
 }
 
 void TxSigVerifier::Prewarm(const std::vector<Transaction>& txns) const {

@@ -62,8 +62,6 @@ std::optional<Block> Block::Deserialize(std::span<const uint8_t> data) {
 
 Hash256 Block::Hash() const { return Sha256::Hash(Serialize()); }
 
-uint64_t Block::WireSize() const { return Serialize().size() + padding_bytes; }
-
 SeedBytes Block::DerivedSeed(const SeedBytes& prev_seed, uint64_t round) {
   Writer w;
   w.Fixed(prev_seed);

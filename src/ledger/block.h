@@ -46,8 +46,16 @@ struct Block {
 
   Hash256 Hash() const;
 
-  // Bytes this block occupies on the wire, including simulated padding.
-  uint64_t WireSize() const;
+  // Serialized size of everything but the transactions: the fixed-width
+  // fields of Serialize() plus the 4-byte transaction count.
+  static constexpr size_t kHeaderWireSize =
+      8 + 32 + 8 + 32 + 64 + 80 + 32 + 80 + 1 + 8 + 32 + 4;
+
+  // Bytes this block occupies on the wire, including simulated padding:
+  // Serialize().size() + padding_bytes, computed without serializing.
+  uint64_t WireSize() const {
+    return kHeaderWireSize + txns.size() * Transaction::kWireSize + padding_bytes;
+  }
 
   std::vector<uint8_t> Serialize() const;
   static std::optional<Block> Deserialize(std::span<const uint8_t> data);

@@ -42,21 +42,21 @@ void Mempool::RemoveLocked(const PublicKey& sender, uint64_t nonce) {
   if (nit == sit->second.end()) {
     return;
   }
-  ids_.erase(nit->second.Id());
-  eviction_index_.erase({nit->second.fee, sender, nonce});
+  ids_.erase(nit->second.id);
+  eviction_index_.erase({nit->second.tx.fee, sender, nonce});
   sit->second.erase(nit);
   if (sit->second.empty()) {
     senders_.erase(sit);
   }
 }
 
-Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonce) {
+Mempool::AddResult Mempool::Add(const Transaction& tx, const Hash256& id,
+                                uint64_t ledger_next_nonce) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tx.nonce < ledger_next_nonce) {
     stale_->Increment();
     return AddResult::kStale;
   }
-  const Hash256 id = tx.Id();
   if (ids_.find(id) != ids_.end()) {
     duplicates_->Increment();
     return AddResult::kDuplicate;
@@ -66,13 +66,13 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
   if (slot != queue.end()) {
     // A different transaction already claims this (sender, nonce): only a
     // strictly higher fee may replace it.
-    if (tx.fee <= slot->second.fee) {
+    if (tx.fee <= slot->second.tx.fee) {
       duplicates_->Increment();
       return AddResult::kDuplicate;
     }
-    ids_.erase(slot->second.Id());
-    eviction_index_.erase({slot->second.fee, tx.from, tx.nonce});
-    slot->second = tx;
+    ids_.erase(slot->second.id);
+    eviction_index_.erase({slot->second.tx.fee, tx.from, tx.nonce});
+    slot->second = Resident{tx, id};
     ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
     eviction_index_.insert({tx.fee, tx.from, tx.nonce});
     replaced_->Increment();
@@ -88,7 +88,7 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, uint64_t ledger_next_nonc
     RemoveLocked(std::get<1>(victim), std::get<2>(victim));
     evicted_->Increment();
   }
-  senders_[tx.from].emplace(tx.nonce, tx);
+  senders_[tx.from].emplace(tx.nonce, Resident{tx, id});
   ids_.emplace(id, std::make_pair(tx.from, tx.nonce));
   eviction_index_.insert({tx.fee, tx.from, tx.nonce});
   added_->Increment();
@@ -125,7 +125,7 @@ std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,
   for (const auto& [sender, queue] : senders_) {
     auto it = queue.find(accounts.NextNonceOf(sender));
     if (it != queue.end()) {
-      heads.insert({it->second.fee, it->second.Id(), sender});
+      heads.insert({it->second.tx.fee, it->second.id, sender});
     }
   }
   std::vector<Transaction> out;
@@ -139,7 +139,7 @@ std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,
     if (it == queue.end()) {
       continue;
     }
-    const Transaction& tx = it->second;
+    const Transaction& tx = it->second.tx;
     if (!overlay.ApplyTransaction(tx)) {
       // Insufficient balance at this point of assembly; later nonces of this
       // sender cannot apply either (the nonce would gap), so drop the queue.
@@ -149,7 +149,7 @@ std::vector<Transaction> Mempool::BuildBlock(const AccountTable& accounts,
     used += Transaction::kWireSize;
     auto next = queue.find(tx.nonce + 1);
     if (next != queue.end()) {
-      heads.insert({next->second.fee, next->second.Id(), sender});
+      heads.insert({next->second.tx.fee, next->second.id, sender});
     }
   }
   return out;
@@ -159,10 +159,15 @@ void Mempool::ObserveCommitted(const std::vector<Transaction>& committed,
                                const AccountTable& accounts) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Transaction& tx : committed) {
-    auto it = ids_.find(tx.Id());
-    if (it != ids_.end()) {
-      const auto [sender, nonce] = it->second;
-      RemoveLocked(sender, nonce);
+    // The slot's resident is the committed transaction iff the bytes match;
+    // equal bytes mean equal ids, so nothing is re-hashed.
+    auto sit = senders_.find(tx.from);
+    if (sit == senders_.end()) {
+      continue;
+    }
+    auto nit = sit->second.find(tx.nonce);
+    if (nit != sit->second.end() && nit->second.tx == tx) {
+      RemoveLocked(tx.from, tx.nonce);
     }
   }
   committed_->Increment(committed.size());
@@ -182,8 +187,8 @@ void Mempool::DropStaleSenderLocked(const PublicKey& sender, uint64_t ledger_nex
   }
   auto& queue = sit->second;
   while (!queue.empty() && queue.begin()->first < ledger_next_nonce) {
-    ids_.erase(queue.begin()->second.Id());
-    eviction_index_.erase({queue.begin()->second.fee, sender, queue.begin()->first});
+    ids_.erase(queue.begin()->second.id);
+    eviction_index_.erase({queue.begin()->second.tx.fee, sender, queue.begin()->first});
     queue.erase(queue.begin());
     stale_->Increment();
   }

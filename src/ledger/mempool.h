@@ -21,6 +21,11 @@
 // Every decision is a deterministic function of the pool contents and the
 // account table passed in — assembly at two nodes with equal pools and
 // ledgers yields byte-identical blocks.
+//
+// A transaction's id is computed once, at admission, and stored next to it:
+// removal, replacement, eviction, head ordering and the stale sweeps read the
+// stored id, and commit-time removal matches by (sender, nonce) plus byte
+// equality, so no pool operation re-hashes a resident transaction.
 #ifndef ALGORAND_SRC_LEDGER_MEMPOOL_H_
 #define ALGORAND_SRC_LEDGER_MEMPOOL_H_
 
@@ -63,8 +68,13 @@ class Mempool {
   void AttachMetrics(MetricsRegistry* registry);
 
   // Admits `tx`, where `ledger_next_nonce` is the sender's current account
-  // nonce. The caller has already verified the signature.
-  AddResult Add(const Transaction& tx, uint64_t ledger_next_nonce);
+  // nonce and `id` is `tx.Id()` (a caller that already holds the id passes
+  // it instead of paying for a second hash). The caller has already verified
+  // the signature.
+  AddResult Add(const Transaction& tx, const Hash256& id, uint64_t ledger_next_nonce);
+  AddResult Add(const Transaction& tx, uint64_t ledger_next_nonce) {
+    return Add(tx, tx.Id(), ledger_next_nonce);
+  }
 
   bool Contains(const Hash256& id) const;
   size_t size() const;
@@ -76,7 +86,8 @@ class Mempool {
   std::vector<Transaction> BuildBlock(const AccountTable& accounts, size_t max_bytes) const;
 
   // Commit-time maintenance after a block is appended: drops the committed
-  // transactions by id, then drops any resident transaction of the touched
+  // transactions (the resident one at their (sender, nonce) slot, if it is
+  // byte-identical), then drops any resident transaction of the touched
   // senders whose nonce fell below the ledger's — the apply-time
   // invalidation when a competing block spends the same nonces.
   void ObserveCommitted(const std::vector<Transaction>& committed, const AccountTable& accounts);
@@ -101,6 +112,12 @@ class Mempool {
     }
   };
 
+  // A resident transaction and its id, hashed once at admission.
+  struct Resident {
+    Transaction tx;
+    Hash256 id;
+  };
+
   void RemoveLocked(const PublicKey& sender, uint64_t nonce);
   void DropStaleSenderLocked(const PublicKey& sender, uint64_t ledger_next_nonce);
   size_t SizeLocked() const { return ids_.size(); }
@@ -110,7 +127,7 @@ class Mempool {
   mutable std::mutex mu_;
   // Sender queues are std::map so iteration (assembly, sweeps) is
   // deterministic across nodes and runs.
-  std::map<PublicKey, std::map<uint64_t, Transaction>> senders_;
+  std::map<PublicKey, std::map<uint64_t, Resident>> senders_;
   std::unordered_map<Hash256, std::pair<PublicKey, uint64_t>, FixedBytesHasher> ids_;
   std::set<std::tuple<uint64_t, PublicKey, uint64_t>, EvictionOrder> eviction_index_;
 

@@ -31,6 +31,9 @@ struct Transaction {
   // SHA-256 of the full serialization: the transaction id.
   Hash256 Id() const;
 
+  // Field-wise equality, which is byte equality of Serialize().
+  bool operator==(const Transaction&) const = default;
+
   // Serialized size in bytes (fixed for this format).
   static constexpr size_t kWireSize = 32 + 32 + 8 + 8 + 8 + 64;
 };

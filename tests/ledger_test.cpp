@@ -247,6 +247,26 @@ TEST(BlockTest, WireSizeIncludesPadding) {
   EXPECT_EQ(b.WireSize(), base + 5000);
 }
 
+TEST(BlockTest, WireSizeMatchesSerializedLengthPlusPadding) {
+  Fixture f;
+  Block empty = f.NextEmptyBlock();
+  Block padded = empty;
+  padded.is_empty = false;
+  padded.padding_bytes = 64 * 1024;
+  // A full 1 MB block: as many payments as fit, no padding.
+  Block full = padded;
+  full.padding_bytes = 0;
+  const size_t capacity = ((1 << 20) - Block::kHeaderWireSize) / Transaction::kWireSize;
+  const SimSigner sim_signer;  // Sizes only: cheap signatures suffice.
+  for (size_t i = 0; i < capacity; ++i) {
+    full.txns.push_back(MakeTransaction(f.key(i % 4), f.pk((i + 1) % 4), 1, i / 4, sim_signer));
+  }
+  for (const Block* b : {&empty, &padded, &full}) {
+    EXPECT_EQ(b->WireSize(), b->Serialize().size() + b->padding_bytes);
+  }
+  EXPECT_LE(full.WireSize(), uint64_t{1} << 20);
+}
+
 TEST(BlockTest, HashChangesWithContent) {
   Block a;
   Block b;

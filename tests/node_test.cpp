@@ -1,6 +1,13 @@
-// Node-level behaviour tests: proposal building, block validation (§8.1),
-// relay rate limiting (§8.4), the block-fetch path, and ablation switches.
+// Node-level behaviour tests: proposal building, block validation (§8.1)
+// and its validate-once memo, relay rate limiting (§8.4), the block-fetch
+// path, and ablation switches.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <mutex>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/core/sim_harness.h"
 
@@ -218,6 +225,254 @@ TEST(NodeTest, EmptyVotersAloneProduceEmptyButConsistentRounds) {
   ASSERT_TRUE(h.RunRounds(1, Hours(1)));
   EXPECT_TRUE(h.node(5).ledger().BlockAtRound(1).is_empty);
   EXPECT_TRUE(h.ChainsConsistent());
+}
+
+// ---------------------------------------------------------------------------
+// Block validation runs once per node per delivered block.
+// ---------------------------------------------------------------------------
+
+// First 8 bytes of a hash, big-endian: the trace events' value_prefix.
+uint64_t Prefix(const Hash256& h) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v = (v << 8) | h[i];
+  }
+  return v;
+}
+
+// Counts seed-VRF verifications — alpha = seed || round + 1, 40 bytes, unlike
+// the 45-byte sortition alphas — and the distinct (proposer, proof) pairs
+// they were asked about. Thread-safe: verify-pool workers call it too.
+class SeedCheckCountingVrf final : public VrfBackend {
+ public:
+  explicit SeedCheckCountingVrf(const VrfBackend* inner) : inner_(inner) {}
+
+  VrfResult Prove(const Ed25519KeyPair& key, std::span<const uint8_t> alpha) const override {
+    return inner_->Prove(key, alpha);
+  }
+  std::optional<VrfOutput> Verify(const PublicKey& pk, std::span<const uint8_t> alpha,
+                                  const VrfProof& proof) const override {
+    if (alpha.size() == SeedBytes::kSize + sizeof(uint64_t)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++checks_;
+      distinct_.insert({pk, proof});
+    }
+    return inner_->Verify(pk, alpha, proof);
+  }
+  const char* name() const override { return inner_->name(); }
+
+  size_t checks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return checks_;
+  }
+  size_t distinct() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return distinct_.size();
+  }
+
+ private:
+  const VrfBackend* inner_;
+  mutable std::mutex mu_;
+  mutable size_t checks_ = 0;
+  mutable std::set<std::pair<PublicKey, VrfProof>> distinct_;
+};
+
+// An honest node that can also build its current-round proposal on demand
+// and probe block validation directly. With `twins` set, every proposal it
+// gossips comes with a twin block whose payments are identical except for
+// one flipped signature bit; the twin's id is appended to `twins`.
+class ProbeNode : public Node {
+ public:
+  ProbeNode(NodeId id, Simulation* sim, GossipAgent* gossip, const Ed25519KeyPair& key,
+            const GenesisConfig& genesis, const ProtocolParams& params, CryptoSuite crypto,
+            std::vector<Hash256>* twins, bool twin_first)
+      : Node(id, sim, gossip, key, genesis, params, crypto),
+        twins_(twins),
+        twin_first_(twin_first) {}
+
+  using Node::ValidateBlockContents;
+
+  // This round's proposal, or null if sortition did not select this node.
+  std::shared_ptr<BlockMessage> MakeProposal() {
+    const RoundContext ctx = MakeContext();
+    SortitionResult sort = RunSortition(*crypto().vrf, key(), ctx.seed, params().tau_proposer,
+                                        Role::kProposer, current_round(), 0, SelfWeight(),
+                                        ctx.total_weight);
+    if (sort.votes == 0) {
+      return nullptr;
+    }
+    auto msg = std::make_shared<BlockMessage>();
+    msg->block = BuildBlockProposal();
+    msg->block.proposer_vrf = sort.hash;
+    msg->block.proposer_proof = sort.proof;
+    return msg;
+  }
+
+ protected:
+  void MaybePropose() override {
+    if (twins_ == nullptr) {
+      Node::MaybePropose();
+      return;
+    }
+    std::shared_ptr<BlockMessage> valid = MakeProposal();
+    if (valid == nullptr) {
+      return;
+    }
+    if (valid->block.txns.empty()) {
+      GossipMessage(valid);
+      return;
+    }
+    auto twin = std::make_shared<BlockMessage>();
+    twin->block = valid->block;
+    twin->block.txns.back().signature[0] ^= 0x01;
+    twins_->push_back(twin->DedupId());
+    GossipMessage(twin_first_ ? twin : valid);
+    GossipMessage(twin_first_ ? valid : twin);
+  }
+
+ private:
+  std::vector<Hash256>* twins_;
+  bool twin_first_;
+};
+
+// Six fully meshed nodes, so a block gossiped by its proposer reaches every
+// node directly (a rejected block is never relayed).
+HarnessConfig MeshConfig(uint64_t seed) {
+  HarnessConfig cfg = BaseConfig(seed);
+  cfg.n_nodes = 6;
+  cfg.gossip_out_degree = cfg.n_nodes - 1;
+  cfg.params.tau_proposer = 26;
+  cfg.params.tau_step = 100;
+  cfg.params.tau_final = 300;
+  return cfg;
+}
+
+class TwinBlockTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TwinBlockTest, OneFlippedSignatureIsRejectedByEveryNode) {
+  // GetParam(): the twin is gossiped before the valid block, so its proposer
+  // checks it before the valid block's verdict is cached; otherwise after.
+  std::vector<Hash256> twins;
+  const bool twin_first = GetParam();
+  HarnessConfig cfg = MeshConfig(41);
+  cfg.node_factory = [&twins, twin_first](NodeId id, Simulation* sim, GossipAgent* gossip,
+                                          const Ed25519KeyPair& key,
+                                          const GenesisConfig& genesis,
+                                          const ProtocolParams& params, CryptoSuite crypto,
+                                          AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    return std::make_unique<ProbeNode>(id, sim, gossip, key, genesis, params, crypto, &twins,
+                                       twin_first);
+  };
+  SimHarness h(cfg);
+  for (size_t i = 0; i < 4; ++i) {
+    h.SubmitPayment(i, i + 1, 10, 0);
+  }
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(1, Hours(1)));
+  ASSERT_FALSE(twins.empty());
+
+  // No node accepted a twin: none traced its receipt, and none committed it.
+  std::set<uint64_t> twin_prefixes;
+  for (const Hash256& t : twins) {
+    twin_prefixes.insert(Prefix(t));
+  }
+  for (const TraceEvent& ev : h.tracer().Events()) {
+    if (ev.kind == TraceKind::kBlockReceived) {
+      EXPECT_EQ(twin_prefixes.count(ev.value_prefix), 0u) << "node " << ev.node;
+    }
+  }
+  // Had any node accepted a twin, the valid block from the same proposer
+  // would have marked it an equivocator and the round would have gone empty.
+  for (size_t i = 0; i < cfg.n_nodes; ++i) {
+    const Block& committed = h.node(i).ledger().BlockAtRound(1);
+    EXPECT_EQ(committed.txns.size(), 4u) << "node " << i;
+  }
+  EXPECT_TRUE(h.ChainsConsistent());
+  // The twins did reach the other nodes and were turned away there.
+  EXPECT_GE(h.AggregateMetrics().CounterValue("gossip.rejected"),
+            twins.size() * (cfg.n_nodes - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Order, TwinBlockTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("TwinFirst")
+                                             : std::string("ValidFirst");
+                         });
+
+TEST(NodeTest, EachDeliveredBlockGetsOneSeedVrfCheckPerNode) {
+  std::vector<std::unique_ptr<SeedCheckCountingVrf>> vrfs;
+  HarnessConfig cfg = MeshConfig(42);
+  cfg.node_factory = [&vrfs](NodeId id, Simulation* sim, GossipAgent* gossip,
+                             const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                             const ProtocolParams& params, CryptoSuite crypto,
+                             AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    vrfs.push_back(std::make_unique<SeedCheckCountingVrf>(crypto.vrf));
+    crypto.vrf = vrfs.back().get();
+    return std::make_unique<Node>(id, sim, gossip, key, genesis, params, crypto);
+  };
+  SimHarness h(cfg);
+  for (size_t i = 0; i < 4; ++i) {
+    h.SubmitPayment(i, i + 1, 10, 0);
+  }
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(3, Hours(1)));
+  ASSERT_EQ(vrfs.size(), cfg.n_nodes);
+  for (size_t i = 0; i < vrfs.size(); ++i) {
+    // The relay validator and the delivery handler share one validation.
+    EXPECT_GT(vrfs[i]->checks(), 0u) << "node " << i;
+    EXPECT_EQ(vrfs[i]->checks(), vrfs[i]->distinct()) << "node " << i;
+  }
+}
+
+TEST(NodeTest, BlockAcceptedAtOneTipIsCheckedAgainAfterTheTipMoves) {
+  std::vector<std::unique_ptr<SeedCheckCountingVrf>> vrfs;
+  HarnessConfig cfg = MeshConfig(43);
+  cfg.node_factory = [&vrfs](NodeId id, Simulation* sim, GossipAgent* gossip,
+                             const Ed25519KeyPair& key, const GenesisConfig& genesis,
+                             const ProtocolParams& params, CryptoSuite crypto,
+                             AdversaryCoordinator*) -> std::unique_ptr<Node> {
+    vrfs.push_back(std::make_unique<SeedCheckCountingVrf>(crypto.vrf));
+    crypto.vrf = vrfs.back().get();
+    return std::make_unique<ProbeNode>(id, sim, gossip, key, genesis, params, crypto, nullptr,
+                                       false);
+  };
+  SimHarness h(cfg);
+  h.Start();
+  ASSERT_TRUE(h.RunRounds(2, Hours(1)));
+
+  // A fresh proposal for some node's current round, validated by that node.
+  ProbeNode* node = nullptr;
+  std::shared_ptr<BlockMessage> proposal;
+  size_t index = 0;
+  for (; index < cfg.n_nodes && proposal == nullptr; ++index) {
+    node = static_cast<ProbeNode*>(&h.node(index));
+    proposal = node->MakeProposal();
+  }
+  ASSERT_NE(proposal, nullptr);
+  const SeedCheckCountingVrf& vrf = *vrfs[index - 1];
+  const uint64_t round = node->current_round();
+  ASSERT_EQ(node->ledger().next_round(), round);
+  const Block tip_block = node->ledger().Tip();
+
+  // Accepted at tip T; the second call reuses the first one's checks.
+  const size_t checks0 = vrf.checks();
+  const uint64_t votes = node->ValidateBlockContents(*proposal);
+  EXPECT_GT(votes, 0u);
+  EXPECT_EQ(node->ValidateBlockContents(*proposal), votes);
+  EXPECT_EQ(vrf.checks(), checks0 + 1);
+
+  // The tip moves (a fork switch to the empty block at the same height): the
+  // remembered verdict must not vouch for the block at the new tip.
+  Ledger* ledger = node->mutable_ledger();
+  const Block other = Block::MakeEmpty(round - 1, tip_block.prev_hash,
+                                       ledger->SeedForRound(round - 1));
+  ASSERT_NE(other.Hash(), tip_block.Hash());
+  ASSERT_TRUE(ledger->ReplaceSuffix(round - 1, {other}));
+  EXPECT_EQ(node->ValidateBlockContents(*proposal), 0u);
+
+  // Back at tip T, the same chain: the block is valid again.
+  ASSERT_TRUE(ledger->ReplaceSuffix(round - 1, {tip_block}));
+  EXPECT_EQ(node->ValidateBlockContents(*proposal), votes);
 }
 
 }  // namespace

@@ -241,6 +241,75 @@ TEST(TxVerifierTest, PrewarmMakesBatchACacheHit) {
   EXPECT_TRUE(verifier.VerifyBatch(txns));
 }
 
+// A twin block: the same payments except for one flipped signature bit.
+// Its verdict must be false whether it is checked before or after the valid
+// block's verdict is cached, with and without pool workers.
+TEST(TxVerifierTest, BlockVerdictRejectsTwinWithOneFlippedSignature) {
+  GenesisBundle bundle = MakeTestGenesis(4, 1000, 13);
+  Block valid;
+  valid.round = 1;
+  for (size_t i = 0; i < 40; ++i) {
+    valid.txns.push_back(MakeTransaction(bundle.keys[i % 4], bundle.keys[(i + 1) % 4].public_key,
+                                         1, i / 4, kSigner));
+  }
+  Block twin = valid;
+  twin.txns[29].signature[5] ^= 0x01;
+  const Hash256 valid_id = valid.Hash();
+  const Hash256 twin_id = twin.Hash();
+  VerifyPool pool(2);
+  for (VerifyPool* p : {static_cast<VerifyPool*>(nullptr), &pool}) {
+    for (bool twin_first : {true, false}) {
+      VerificationCache cache;
+      TxSigVerifier verifier(&kSigner, &cache, p);
+      // Every payment but the twin's flipped one is already verified, as
+      // after admission.
+      for (const Transaction& tx : valid.txns) {
+        ASSERT_TRUE(verifier.VerifyOne(tx));
+      }
+      if (twin_first) {
+        EXPECT_FALSE(verifier.VerifyBlock(twin_id, twin.txns));
+      }
+      EXPECT_TRUE(verifier.VerifyBlock(valid_id, valid.txns));
+      EXPECT_FALSE(verifier.VerifyBlock(twin_id, twin.txns));
+      EXPECT_TRUE(verifier.VerifyBlock(valid_id, valid.txns));
+      // Both verdicts live in their own key domain, apart from the ids.
+      EXPECT_TRUE(cache.Contains(TxSigVerifier::BlockVerdictKey(valid_id)));
+      EXPECT_TRUE(cache.Contains(TxSigVerifier::BlockVerdictKey(twin_id)));
+      EXPECT_FALSE(cache.Contains(valid_id));
+      EXPECT_NE(TxSigVerifier::BlockVerdictKey(valid_id), valid_id);
+      // A cached verdict is one lookup, not one per payment.
+      const uint64_t hits = cache.hits();
+      EXPECT_TRUE(verifier.VerifyBlock(valid_id, valid.txns));
+      EXPECT_EQ(cache.hits(), hits + 1);
+    }
+  }
+}
+
+TEST(TxVerifierTest, PrewarmBlockSkipsPaymentsOfAVerdictAlreadyCached) {
+  GenesisBundle bundle = MakeTestGenesis(4, 1000, 14);
+  Block block;
+  for (size_t i = 0; i < 16; ++i) {
+    block.txns.push_back(MakeTransaction(bundle.keys[i % 4], bundle.keys[(i + 1) % 4].public_key,
+                                         1, i / 4, kSigner));
+  }
+  const Hash256 id = block.Hash();
+  VerifyPool pool(2);
+
+  VerificationCache cold;
+  TxSigVerifier cold_verifier(&kSigner, &cold, &pool);
+  cold_verifier.PrewarmBlock(id, block.txns);
+  pool.Drain();
+  EXPECT_EQ(cold.size(), block.txns.size());
+
+  VerificationCache warm;
+  warm.GetOrCompute(TxSigVerifier::BlockVerdictKey(id), [] { return uint64_t{1}; });
+  TxSigVerifier warm_verifier(&kSigner, &warm, &pool);
+  warm_verifier.PrewarmBlock(id, block.txns);
+  pool.Drain();
+  EXPECT_EQ(warm.size(), 1u);
+  EXPECT_EQ(warm.prewarms(), 0u);
+}
+
 // End-to-end A/B: a full consensus run with synthetic transaction load must
 // commit identical chains and identical account state whether blocks are
 // applied sequentially (exec_workers=0) or through the worker pool.
