@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -10,6 +11,12 @@
 #include "src/crypto/vrf.h"
 
 namespace algorand {
+
+// Prints a backend parameter by name. gtest would otherwise print the
+// pointer, and the ctest names recorded at build time would carry a load
+// address that changes on every relink.
+static void PrintTo(const VrfBackend* vrf, std::ostream* os) { *os << vrf->name(); }
+
 namespace {
 
 Ed25519KeyPair KeyFromRng(DeterministicRng* rng) {
