@@ -17,6 +17,7 @@
 #include "src/ledger/account_table.h"
 #include "src/netsim/simulation.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/internal/fe25519.h"
 #include "src/crypto/internal/ge25519.h"
 #include "src/crypto/internal/sc25519.h"
 #include "src/crypto/sha256.h"
@@ -130,6 +131,46 @@ internal::GePoint BenchPoint() {
   internal::ScReduce64(s, wide);
   return internal::GeScalarMultBase(s);
 }
+
+// Field layer under every curve operation. Each iteration feeds its result
+// back in, so the loop measures the latency of a dependent chain, as in the
+// doubling chain of a verification.
+internal::Fe BenchFe(uint64_t seed) {
+  DeterministicRng rng(seed);
+  uint8_t bytes[32];
+  rng.FillBytes(bytes, 32);
+  return internal::FeFromBytes(bytes);
+}
+
+void BM_FeMul(benchmark::State& state) {
+  internal::Fe a = BenchFe(7);
+  const internal::Fe b = BenchFe(8);
+  for (auto _ : state) {
+    a = internal::FeMul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeSq(benchmark::State& state) {
+  internal::Fe a = BenchFe(9);
+  for (auto _ : state) {
+    a = internal::FeSq(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeSq);
+
+// One point doubling (4 squarings, 4 multiplications), the step the 253-long
+// doubling chain of GeDoubleScalarMultVartime repeats.
+void BM_GeDouble(benchmark::State& state) {
+  internal::GePoint p = BenchPoint();
+  for (auto _ : state) {
+    p = internal::GeDouble(p);
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_GeDouble);
 
 void BM_GeScalarMult(benchmark::State& state) {
   internal::GePoint p = BenchPoint();

@@ -184,30 +184,7 @@ void SimHarness::Start() {
     InjectTxLoad();
     InjectTxLoad();
     last_loaded_round_ = nodes_[malicious_count_]->ledger().chain_length();
-    auto probe = std::make_shared<std::function<void()>>();
-    *probe = [this, probe] {
-      uint64_t tip = 0;
-      size_t tip_node = malicious_count_;
-      for (size_t i = malicious_count_; i < nodes_.size(); ++i) {
-        if (alive_[i] && nodes_[i]->ledger().chain_length() > tip) {
-          tip = nodes_[i]->ledger().chain_length();
-          tip_node = i;
-        }
-      }
-      while (last_loaded_round_ < tip) {
-        // Back off while the chain is committing empty blocks: injecting into
-        // a pool that is not draining only forces fee evictions, and an
-        // evicted middle nonce strands every later nonce of that sender.
-        const uint64_t backlog = tx_counter_ - CommittedTxCount(tip_node);
-        if (backlog >= 2 * config_.tx_load_per_round) {
-          break;
-        }
-        InjectTxLoad();
-        ++last_loaded_round_;
-      }
-      sim_->Schedule(Seconds(1), *probe);
-    };
-    sim_->Schedule(Seconds(1), *probe);
+    sim_->Schedule(Seconds(1), [this] { TxLoadTick(); });
   }
   // Each node's startup events are keyed to its own stream so the parallel
   // engine orders them independently of the worker count (no-op on the
@@ -226,6 +203,29 @@ void SimHarness::Start() {
       sim_->ScheduleAt(ev.restart_at, [this, ev] { RestartNode(ev.node, ev.from_snapshot); });
     }
   }
+}
+
+void SimHarness::TxLoadTick() {
+  uint64_t tip = 0;
+  size_t tip_node = malicious_count_;
+  for (size_t i = malicious_count_; i < nodes_.size(); ++i) {
+    if (alive_[i] && nodes_[i]->ledger().chain_length() > tip) {
+      tip = nodes_[i]->ledger().chain_length();
+      tip_node = i;
+    }
+  }
+  while (last_loaded_round_ < tip) {
+    // Back off while the chain is committing empty blocks: injecting into
+    // a pool that is not draining only forces fee evictions, and an
+    // evicted middle nonce strands every later nonce of that sender.
+    const uint64_t backlog = tx_counter_ - CommittedTxCount(tip_node);
+    if (backlog >= 2 * config_.tx_load_per_round) {
+      break;
+    }
+    InjectTxLoad();
+    ++last_loaded_round_;
+  }
+  sim_->Schedule(Seconds(1), [this] { TxLoadTick(); });
 }
 
 std::unique_ptr<BlockStore> SimHarness::OpenStoreFor(size_t i) {

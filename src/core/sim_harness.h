@@ -240,6 +240,10 @@ class SimHarness {
   BlockStore* node_store(size_t i) const { return stores_[i].get(); }
 
  private:
+  // The tx-load probe: every simulated second, injects one batch per round
+  // the honest chain advanced since the last injection, then reschedules
+  // itself. Started by Start() when config.tx_load_per_round > 0.
+  void TxLoadTick();
   // Opens (or reopens) node i's store at <data_dir>/node-<i>.
   std::unique_ptr<BlockStore> OpenStoreFor(size_t i);
   HarnessConfig config_;

@@ -1,205 +1,13 @@
 #include "src/crypto/internal/fe25519.h"
 
-#include <cstring>
-
 namespace algorand {
 namespace internal {
-namespace {
-
-// Folds `carry` (value carried out past 2^256) back in using 2^256 = 38 mod p.
-void FoldCarry(U256* v, uint64_t carry) {
-  while (carry != 0) {
-    // carry * 38 fits easily in 128 bits; add limb-wise.
-    unsigned __int128 c = static_cast<unsigned __int128>(carry) * 38;
-    uint64_t add_lo = static_cast<uint64_t>(c);
-    uint64_t add_hi = static_cast<uint64_t>(c >> 64);
-    U256 add{add_lo, add_hi, 0, 0};
-    carry = Add(v, *v, add);
-  }
-}
-
-}  // namespace
 
 const U256& FieldPrime() {
   static const U256 kP = {0xffffffffffffffedULL, 0xffffffffffffffffULL, 0xffffffffffffffffULL,
                           0x7fffffffffffffffULL};
   return kP;
 }
-
-Fe FeZero() { return Fe{}; }
-
-Fe FeOne() { return Fe{{1, 0, 0, 0}}; }
-
-Fe FeFromU64(uint64_t x) { return Fe{{x, 0, 0, 0}}; }
-
-Fe FeAdd(const Fe& a, const Fe& b) {
-  Fe r;
-  uint64_t carry = Add(&r.v, a.v, b.v);
-  FoldCarry(&r.v, carry);
-  return r;
-}
-
-Fe FeSub(const Fe& a, const Fe& b) {
-  // a - b (mod p): compute the 2^256 wraparound, then correct by 38 per wrap.
-  Fe r;
-  uint64_t borrow = Sub(&r.v, a.v, b.v);
-  while (borrow != 0) {
-    // Value wrapped: the stored r.v equals a-b+2^256 == (a-b) + 38 (mod p).
-    U256 thirty_eight{38, 0, 0, 0};
-    borrow = Sub(&r.v, r.v, thirty_eight);
-  }
-  return r;
-}
-
-namespace {
-
-using u128 = unsigned __int128;
-
-// Folds an 8-limb (512-bit) product down to 4 limbs with 2^256 = 38 mod p:
-// r = lo + 38 * hi, then the (< 6-bit) carry out is folded again. FeMul and
-// FeSq sit under every curve operation, so this path is fully unrolled.
-inline Fe ReduceWide(const uint64_t w[8]) {
-  Fe r;
-  u128 s;
-  s = static_cast<u128>(w[0]) + static_cast<u128>(w[4]) * 38;
-  r.v[0] = static_cast<uint64_t>(s);
-  s = static_cast<u128>(w[1]) + static_cast<u128>(w[5]) * 38 + static_cast<uint64_t>(s >> 64);
-  r.v[1] = static_cast<uint64_t>(s);
-  s = static_cast<u128>(w[2]) + static_cast<u128>(w[6]) * 38 + static_cast<uint64_t>(s >> 64);
-  r.v[2] = static_cast<uint64_t>(s);
-  s = static_cast<u128>(w[3]) + static_cast<u128>(w[7]) * 38 + static_cast<uint64_t>(s >> 64);
-  r.v[3] = static_cast<uint64_t>(s);
-  FoldCarry(&r.v, static_cast<uint64_t>(s >> 64));
-  return r;
-}
-
-}  // namespace
-
-Fe FeMul(const Fe& a, const Fe& b) {
-  // Unrolled 4x4 schoolbook product (16 hardware multiplies), row by row so
-  // every partial sum fits in 128 bits, then the 38-fold reduction.
-  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3];
-  const uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3];
-  uint64_t w[8];
-  u128 t, c;
-  t = static_cast<u128>(a0) * b0;
-  w[0] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a0) * b1 + c;
-  w[1] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a0) * b2 + c;
-  w[2] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a0) * b3 + c;
-  w[3] = static_cast<uint64_t>(t);
-  w[4] = static_cast<uint64_t>(t >> 64);
-
-  t = static_cast<u128>(a1) * b0 + w[1];
-  w[1] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a1) * b1 + w[2] + c;
-  w[2] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a1) * b2 + w[3] + c;
-  w[3] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a1) * b3 + w[4] + c;
-  w[4] = static_cast<uint64_t>(t);
-  w[5] = static_cast<uint64_t>(t >> 64);
-
-  t = static_cast<u128>(a2) * b0 + w[2];
-  w[2] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a2) * b1 + w[3] + c;
-  w[3] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a2) * b2 + w[4] + c;
-  w[4] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a2) * b3 + w[5] + c;
-  w[5] = static_cast<uint64_t>(t);
-  w[6] = static_cast<uint64_t>(t >> 64);
-
-  t = static_cast<u128>(a3) * b0 + w[3];
-  w[3] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * b1 + w[4] + c;
-  w[4] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * b2 + w[5] + c;
-  w[5] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * b3 + w[6] + c;
-  w[6] = static_cast<uint64_t>(t);
-  w[7] = static_cast<uint64_t>(t >> 64);
-
-  return ReduceWide(w);
-}
-
-Fe FeSq(const Fe& a) {
-  // Squaring: the six off-diagonal products are computed once and doubled by
-  // a word shift, then the four diagonal squares are added — 10 hardware
-  // multiplies to FeMul's 16.
-  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3];
-  uint64_t w[8];
-  u128 t, c;
-  t = static_cast<u128>(a1) * a0;
-  w[1] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a2) * a0 + c;
-  w[2] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * a0 + c;
-  w[3] = static_cast<uint64_t>(t);
-  w[4] = static_cast<uint64_t>(t >> 64);
-
-  t = static_cast<u128>(a2) * a1 + w[3];
-  w[3] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * a1 + w[4] + c;
-  w[4] = static_cast<uint64_t>(t);
-  w[5] = static_cast<uint64_t>(t >> 64);
-
-  t = static_cast<u128>(a3) * a2 + w[5];
-  w[5] = static_cast<uint64_t>(t);
-  w[6] = static_cast<uint64_t>(t >> 64);
-
-  // Double the cross sum: it is < 2^511, so the shift cannot overflow.
-  w[7] = w[6] >> 63;
-  w[6] = (w[6] << 1) | (w[5] >> 63);
-  w[5] = (w[5] << 1) | (w[4] >> 63);
-  w[4] = (w[4] << 1) | (w[3] >> 63);
-  w[3] = (w[3] << 1) | (w[2] >> 63);
-  w[2] = (w[2] << 1) | (w[1] >> 63);
-  w[1] = w[1] << 1;
-
-  t = static_cast<u128>(a0) * a0;
-  w[0] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(w[1]) + c;
-  w[1] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a1) * a1 + w[2] + c;
-  w[2] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(w[3]) + c;
-  w[3] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a2) * a2 + w[4] + c;
-  w[4] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(w[5]) + c;
-  w[5] = static_cast<uint64_t>(t);
-  c = t >> 64;
-  t = static_cast<u128>(a3) * a3 + w[6] + c;
-  w[6] = static_cast<uint64_t>(t);
-  w[7] += static_cast<uint64_t>(t >> 64);
-
-  return ReduceWide(w);
-}
-
-Fe FeNeg(const Fe& a) { return FeSub(FeZero(), a); }
 
 Fe FePow(const Fe& a, const U256& e) {
   Fe result = FeOne();
@@ -246,6 +54,21 @@ ChainPrefix FeChain250(const Fe& a) {
   return {t250, a11};
 }
 
+// One carry pass: every limb ends < 2^51 except limb 0, which takes 19 times
+// the carry out of limb 4.
+void CarryPass(uint64_t t[5]) {
+  t[1] += t[0] >> 51;
+  t[0] &= kFeLimbMask;
+  t[2] += t[1] >> 51;
+  t[1] &= kFeLimbMask;
+  t[3] += t[2] >> 51;
+  t[2] &= kFeLimbMask;
+  t[4] += t[3] >> 51;
+  t[3] &= kFeLimbMask;
+  t[0] += 19 * (t[4] >> 51);
+  t[4] &= kFeLimbMask;
+}
+
 }  // namespace
 
 Fe FeInvert(const Fe& a) {
@@ -261,24 +84,43 @@ Fe FePow22523(const Fe& a) {
 }
 
 void FeCanonicalize(Fe* a) {
-  const U256& p = FieldPrime();
-  // v < 2^256 and 2^256 < 4p, so at most 3 subtractions.
-  while (Cmp(a->v, p) >= 0) {
-    Sub(&a->v, a->v, p);
-  }
+  uint64_t* t = a->v;
+  // Limbs below 2^54 carry at most 8 out of limb 4, so one pass leaves limbs
+  // 1..4 < 2^51, limb 0 < 2^51 + 152, and a value h < 2^255 + 152 < 2p.
+  CarryPass(t);
+  // h >= p exactly when h + 19 carries out of 2^255: compute h + 19, then
+  // add 2^255 - 19 more and drop bit 255, which leaves h + 19 - 19 = h when
+  // there was no carry and h - p when there was.
+  t[0] += 19;
+  CarryPass(t);
+  t[0] += (uint64_t{1} << 51) - 19;
+  t[1] += (uint64_t{1} << 51) - 1;
+  t[2] += (uint64_t{1} << 51) - 1;
+  t[3] += (uint64_t{1} << 51) - 1;
+  t[4] += (uint64_t{1} << 51) - 1;
+  t[1] += t[0] >> 51;
+  t[0] &= kFeLimbMask;
+  t[2] += t[1] >> 51;
+  t[1] &= kFeLimbMask;
+  t[3] += t[2] >> 51;
+  t[2] &= kFeLimbMask;
+  t[4] += t[3] >> 51;
+  t[3] &= kFeLimbMask;
+  t[4] &= kFeLimbMask;
 }
 
 bool FeEq(const Fe& a, const Fe& b) {
   Fe x = a, y = b;
   FeCanonicalize(&x);
   FeCanonicalize(&y);
-  return Cmp(x.v, y.v) == 0;
+  return ((x.v[0] ^ y.v[0]) | (x.v[1] ^ y.v[1]) | (x.v[2] ^ y.v[2]) | (x.v[3] ^ y.v[3]) |
+          (x.v[4] ^ y.v[4])) == 0;
 }
 
 bool FeIsZero(const Fe& a) {
   Fe x = a;
   FeCanonicalize(&x);
-  return IsZero(x.v);
+  return (x.v[0] | x.v[1] | x.v[2] | x.v[3] | x.v[4]) == 0;
 }
 
 int FeIsNegative(const Fe& a) {
@@ -290,24 +132,29 @@ int FeIsNegative(const Fe& a) {
 void FeToBytes(uint8_t out[32], const Fe& a) {
   Fe x = a;
   FeCanonicalize(&x);
+  // Pack the 255 bits into four 64-bit words, then store little-endian.
+  const uint64_t words[4] = {x.v[0] | (x.v[1] << 51), (x.v[1] >> 13) | (x.v[2] << 38),
+                             (x.v[2] >> 26) | (x.v[3] << 25), (x.v[3] >> 39) | (x.v[4] << 12)};
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 8; ++j) {
-      out[8 * i + j] = static_cast<uint8_t>(x.v[static_cast<size_t>(i)] >> (8 * j));
+      out[8 * i + j] = static_cast<uint8_t>(words[i] >> (8 * j));
     }
   }
 }
 
 Fe FeFromBytes(const uint8_t in[32]) {
-  Fe r;
+  uint64_t words[4];
   for (int i = 0; i < 4; ++i) {
-    uint64_t limb = 0;
+    uint64_t w = 0;
     for (int j = 7; j >= 0; --j) {
-      limb = (limb << 8) | in[8 * i + j];
+      w = (w << 8) | in[8 * i + j];
     }
-    r.v[static_cast<size_t>(i)] = limb;
+    words[i] = w;
   }
-  r.v[3] &= 0x7fffffffffffffffULL;  // Clear the sign bit.
-  return r;
+  // Bit 255 (the sign bit) falls off the top of limb 4.
+  return Fe{{words[0] & kFeLimbMask, ((words[0] >> 51) | (words[1] << 13)) & kFeLimbMask,
+             ((words[1] >> 38) | (words[2] << 26)) & kFeLimbMask,
+             ((words[2] >> 25) | (words[3] << 39)) & kFeLimbMask, (words[3] >> 12) & kFeLimbMask}};
 }
 
 const Fe& FeSqrtM1() {

@@ -122,8 +122,13 @@ GePoint GeSubCached(const GePoint& p, const GeCached& q) {
   return r;
 }
 
-GePoint GeDouble(const GePoint& p) {
-  // dbl-2008-hwcd specialized to a = -1 (signs folded; see fe tests).
+namespace {
+
+// dbl-2008-hwcd specialized to a = -1 (signs folded; see fe tests). Doubling
+// never reads T, so a doubling whose result only feeds another doubling may
+// skip the T = E*H product (ref10's p1p1 -> p2 conversion).
+template <bool kWithT>
+GePoint Double(const GePoint& p) {
   Fe a = FeSq(p.X);
   Fe b = FeSq(p.Y);
   Fe zz = FeSq(p.Z);
@@ -136,10 +141,16 @@ GePoint GeDouble(const GePoint& p) {
   GePoint r;
   r.X = FeMul(e, f);
   r.Y = FeMul(g, h);
-  r.T = FeMul(e, h);
+  if constexpr (kWithT) {
+    r.T = FeMul(e, h);
+  }
   r.Z = FeMul(f, g);
   return r;
 }
+
+}  // namespace
+
+GePoint GeDouble(const GePoint& p) { return Double<true>(p); }
 
 GePoint GeScalarMult(const uint8_t scalar[32], const GePoint& p) {
   GePoint r = GeIdentity();
@@ -299,7 +310,9 @@ GePoint WNafEvaluate(const int8_t* naf_a, int len_a, const OddTable& ta, const i
   const BaseWNafTable* base = tb == nullptr ? &GetBaseWNafTable() : nullptr;
   GePoint r = GeIdentity();
   for (int i = std::max(len_a, len_b) - 1; i >= 0; --i) {
-    r = GeDouble(r);
+    // T is needed only by an addition at this position or by the caller.
+    const bool adds = (i < len_a && naf_a[i] != 0) || (i < len_b && naf_b[i] != 0);
+    r = adds || i == 0 ? Double<true>(r) : Double<false>(r);
     if (i < len_a && naf_a[i] != 0) {
       r = naf_a[i] > 0 ? GeAddCached(r, ta.entry[naf_a[i] >> 1])
                        : GeSubCached(r, ta.entry[(-naf_a[i]) >> 1]);

@@ -1,23 +1,42 @@
 // Tests for the internal Curve25519 field/scalar/group arithmetic.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "src/common/bytes.h"
+#include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/crypto/internal/fe25519.h"
 #include "src/crypto/internal/ge25519.h"
 #include "src/crypto/internal/sc25519.h"
 #include "src/crypto/internal/u256.h"
+#include "tests/ref_fe25519.h"
 
 namespace algorand {
 namespace internal {
 namespace {
 
+// A random element over the whole reduced range (every limb < 2^52, so values
+// up to ~2^256): the domain every field function accepts.
 Fe RandomFe(DeterministicRng* rng) {
   Fe f;
   for (auto& limb : f.v) {
-    limb = rng->NextU64();
+    limb = rng->NextU64() & (kFeReducedBound - 1);
   }
   return f;
+}
+
+// The integer a canonical element's limbs spell (each limb < 2^51).
+U256 CanonicalLimbsToU256(const Fe& f) {
+  uint8_t bytes[32] = {};
+  for (int bit = 0; bit < 255; ++bit) {
+    if ((f.v[bit / 51] >> (bit % 51)) & 1) {
+      bytes[bit / 8] = static_cast<uint8_t>(bytes[bit / 8] | (1 << (bit % 8)));
+    }
+  }
+  return ScFromBytes(bytes);
 }
 
 U256 RandomU256(DeterministicRng* rng) {
@@ -182,7 +201,10 @@ TEST(Fe25519Test, CanonicalizeBelowPrime) {
   for (int i = 0; i < 100; ++i) {
     Fe a = RandomFe(&rng);
     FeCanonicalize(&a);
-    EXPECT_LT(Cmp(a.v, FieldPrime()), 0);
+    for (uint64_t limb : a.v) {
+      EXPECT_LT(limb, uint64_t{1} << 51);
+    }
+    EXPECT_LT(Cmp(CanonicalLimbsToU256(a), FieldPrime()), 0);
   }
 }
 
@@ -192,12 +214,14 @@ TEST(Fe25519Test, SqrtM1Squared) {
 }
 
 TEST(Fe25519Test, PrimeEquivalences) {
-  // p = 0 in the field; 2^255 = 19.
-  Fe p;
-  p.v = FieldPrime();
+  // p = 0 in the field; 2^255 = 19. p arrives through its byte encoding, and
+  // 2^255 (which no 255-bit encoding can carry) as a top limb of 2^51.
+  uint8_t p_bytes[32];
+  ScToBytes(p_bytes, FieldPrime());
+  Fe p = FeFromBytes(p_bytes);
   EXPECT_TRUE(FeIsZero(p));
   Fe two255;
-  two255.v = U256{0, 0, 0, 0x8000000000000000ULL};
+  two255.v[4] = uint64_t{1} << 51;
   EXPECT_TRUE(FeEq(two255, FeFromU64(19)));
 }
 
@@ -460,7 +484,10 @@ TEST(Ge25519Test, ScalarMultVartimeMatchesTextbook) {
     // agree with the plain ladder over the whole input domain.
     uint8_t s[32];
     rng.FillBytes(s, 32);
-    EXPECT_TRUE(GeEq(GeScalarMultVartime(s, p), GeScalarMult(s, p))) << "iter " << i;
+    GePoint got = GeScalarMultVartime(s, p);
+    EXPECT_TRUE(GeEq(got, GeScalarMult(s, p))) << "iter " << i;
+    // The result's T coordinate is valid too: adding to it agrees.
+    EXPECT_TRUE(GeEq(GeAdd(got, p), GeAdd(GeScalarMult(s, p), p))) << "iter " << i;
   }
   uint8_t zero[32] = {};
   EXPECT_TRUE(GeIsIdentity(GeScalarMultVartime(zero, p)));
@@ -488,7 +515,9 @@ TEST(Ge25519Test, DoubleScalarMultVartimeMatchesComposition) {
       memset(b, 0, 32);  // [a]A + [0]B: pure odd-multiples walk.
     }
     GePoint expected = GeAdd(GeScalarMult(a, A), GeScalarMult(b, GeBasePoint()));
-    EXPECT_TRUE(GeEq(GeDoubleScalarMultVartime(a, A, b), expected)) << "iter " << i;
+    GePoint got = GeDoubleScalarMultVartime(a, A, b);
+    EXPECT_TRUE(GeEq(got, expected)) << "iter " << i;
+    EXPECT_TRUE(GeEq(GeAdd(got, A), GeAdd(expected, A))) << "iter " << i;
   }
 }
 
@@ -501,8 +530,341 @@ TEST(Ge25519Test, TwoScalarMultVartimeMatchesComposition) {
     rng.FillBytes(a, 32);
     rng.FillBytes(b, 32);
     GePoint expected = GeAdd(GeScalarMult(a, A), GeScalarMult(b, B));
-    EXPECT_TRUE(GeEq(GeTwoScalarMultVartime(a, A, b, B), expected)) << "iter " << i;
+    GePoint got = GeTwoScalarMultVartime(a, A, b, B);
+    EXPECT_TRUE(GeEq(got, expected)) << "iter " << i;
+    EXPECT_TRUE(GeEq(GeAdd(got, A), GeAdd(expected, A))) << "iter " << i;
   }
+}
+
+
+// --- Differential tests: the radix-2^51 field against the reference field ---
+//
+// Every comparison goes through the canonical 32-byte encoding, so it checks
+// the residue, not the (lazy) representation.
+
+// The residue the limbs of `f` spell, evaluated in the reference field.
+RefFe ToRef(const Fe& f) {
+  RefFe acc;
+  for (int i = 0; i < 5; ++i) {
+    RefFe radix;
+    radix.v[static_cast<size_t>(51 * i / 64)] = uint64_t{1} << (51 * i % 64);  // 2^(51 i)
+    acc = RefAdd(acc, RefMul(RefFromU64(f.v[i]), radix));
+  }
+  return acc;
+}
+
+std::string Hex32(const uint8_t* b) { return HexEncode(std::span<const uint8_t>(b, 32)); }
+
+::testing::AssertionResult SameResidue(const Fe& f, const RefFe& r) {
+  uint8_t fb[32], rb[32];
+  FeToBytes(fb, f);
+  RefToBytes(rb, r);
+  if (memcmp(fb, rb, 32) != 0) {
+    return ::testing::AssertionFailure() << "field " << Hex32(fb)
+                                         << " != reference "
+                                         << Hex32(rb);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+bool LimbsBelow(const Fe& f, uint64_t bound) {
+  for (uint64_t limb : f.v) {
+    if (limb >= bound) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Fe RandomFeBelow(DeterministicRng* rng, uint64_t bound) {
+  Fe f;
+  for (auto& limb : f.v) {
+    limb = rng->NextU64() % bound;
+  }
+  return f;
+}
+
+Fe AllLimbs(uint64_t limb) { return Fe{{limb, limb, limb, limb, limb}}; }
+
+// The values 2^255 - 19 + k for k in [0, 19): every encoding of a
+// non-canonical y, i.e. the whole interval [p, 2^255).
+std::vector<Fe> AbovePrime() {
+  std::vector<Fe> out;
+  for (uint64_t k = 0; k < 19; ++k) {
+    U256 v = FieldPrime();
+    AddSmall(&v, v, k);
+    uint8_t bytes[32];
+    ScToBytes(bytes, v);
+    out.push_back(FeFromBytes(bytes));
+  }
+  return out;
+}
+
+// Edge inputs for a given per-limb bound: all-ones limbs at the maximum, the
+// maximum in one limb at a time, zero, p, and [p, 2^255).
+std::vector<Fe> EdgeInputs(uint64_t bound) {
+  std::vector<Fe> out = AbovePrime();
+  out.push_back(AllLimbs(bound - 1));
+  out.push_back(AllLimbs(kFeLimbMask));
+  out.push_back(FeZero());
+  out.push_back(FeOne());
+  for (int i = 0; i < 5; ++i) {
+    Fe one_limb;
+    one_limb.v[i] = bound - 1;
+    out.push_back(one_limb);
+  }
+  return out;
+}
+
+constexpr int kDiffIters = 2000;
+
+TEST(FeDifferentialTest, MulMatchesReferenceUpToInputBound) {
+  DeterministicRng rng(101);
+  std::vector<Fe> edges = EdgeInputs(kFeMulInBound);
+  for (const Fe& a : edges) {
+    for (const Fe& b : edges) {
+      Fe r = FeMul(a, b);
+      EXPECT_TRUE(SameResidue(r, RefMul(ToRef(a), ToRef(b))));
+      EXPECT_TRUE(LimbsBelow(r, kFeReducedBound));
+    }
+  }
+  for (int i = 0; i < kDiffIters; ++i) {
+    Fe a = RandomFeBelow(&rng, kFeMulInBound), b = RandomFeBelow(&rng, kFeMulInBound);
+    Fe r = FeMul(a, b);
+    ASSERT_TRUE(SameResidue(r, RefMul(ToRef(a), ToRef(b)))) << "iter " << i;
+    ASSERT_TRUE(LimbsBelow(r, kFeReducedBound)) << "iter " << i;
+  }
+}
+
+TEST(FeDifferentialTest, SqMatchesReferenceUpToInputBound) {
+  DeterministicRng rng(102);
+  for (const Fe& a : EdgeInputs(kFeMulInBound)) {
+    Fe r = FeSq(a);
+    EXPECT_TRUE(SameResidue(r, RefSq(ToRef(a))));
+    EXPECT_TRUE(LimbsBelow(r, kFeReducedBound));
+  }
+  for (int i = 0; i < kDiffIters; ++i) {
+    Fe a = RandomFeBelow(&rng, kFeMulInBound);
+    Fe r = FeSq(a);
+    ASSERT_TRUE(SameResidue(r, RefSq(ToRef(a)))) << "iter " << i;
+    ASSERT_TRUE(LimbsBelow(r, kFeReducedBound)) << "iter " << i;
+  }
+}
+
+TEST(FeDifferentialTest, AddMatchesReferenceUpToInputBound) {
+  DeterministicRng rng(103);
+  std::vector<Fe> edges = EdgeInputs(kFeAddInBound);
+  for (const Fe& a : edges) {
+    for (const Fe& b : edges) {
+      Fe r = FeAdd(a, b);
+      EXPECT_TRUE(SameResidue(r, RefAdd(ToRef(a), ToRef(b))));
+      EXPECT_TRUE(LimbsBelow(r, kFeMulInBound));
+    }
+  }
+  for (int i = 0; i < kDiffIters; ++i) {
+    Fe a = RandomFeBelow(&rng, kFeAddInBound), b = RandomFeBelow(&rng, kFeAddInBound);
+    Fe r = FeAdd(a, b);
+    ASSERT_TRUE(SameResidue(r, RefAdd(ToRef(a), ToRef(b)))) << "iter " << i;
+    ASSERT_TRUE(LimbsBelow(r, kFeMulInBound)) << "iter " << i;
+  }
+}
+
+TEST(FeDifferentialTest, SubAndNegMatchReferenceUpToInputBounds) {
+  DeterministicRng rng(104);
+  std::vector<Fe> minuends = EdgeInputs(kFeMulInBound);
+  std::vector<Fe> subtrahends = EdgeInputs(kFeSubInBound);
+  for (const Fe& a : minuends) {
+    for (const Fe& b : subtrahends) {
+      Fe r = FeSub(a, b);
+      EXPECT_TRUE(SameResidue(r, RefSub(ToRef(a), ToRef(b))));
+      EXPECT_TRUE(LimbsBelow(r, kFeReducedBound));
+    }
+  }
+  for (const Fe& b : subtrahends) {
+    Fe r = FeNeg(b);
+    EXPECT_TRUE(SameResidue(r, RefNeg(ToRef(b))));
+    EXPECT_TRUE(LimbsBelow(r, kFeReducedBound));
+  }
+  for (int i = 0; i < kDiffIters; ++i) {
+    Fe a = RandomFeBelow(&rng, kFeMulInBound), b = RandomFeBelow(&rng, kFeSubInBound);
+    Fe r = FeSub(a, b);
+    ASSERT_TRUE(SameResidue(r, RefSub(ToRef(a), ToRef(b)))) << "iter " << i;
+    ASSERT_TRUE(LimbsBelow(r, kFeReducedBound)) << "iter " << i;
+    ASSERT_TRUE(SameResidue(FeNeg(b), RefNeg(ToRef(b)))) << "iter " << i;
+  }
+}
+
+TEST(FeDifferentialTest, InvertAndPow22523MatchReference) {
+  DeterministicRng rng(105);
+  std::vector<Fe> inputs = EdgeInputs(kFeMulInBound);
+  for (int i = 0; i < 20; ++i) {
+    inputs.push_back(RandomFeBelow(&rng, kFeMulInBound));
+  }
+  for (const Fe& a : inputs) {
+    EXPECT_TRUE(SameResidue(FeInvert(a), RefInvert(ToRef(a))));
+    EXPECT_TRUE(SameResidue(FePow22523(a), RefPow22523(ToRef(a))));
+    EXPECT_TRUE(LimbsBelow(FeInvert(a), kFeReducedBound));
+  }
+}
+
+TEST(FeDifferentialTest, BytesMatchReference) {
+  DeterministicRng rng(106);
+  // FromBytes: random encodings with and without the ignored top bit, and
+  // every encoding in [p, 2^255) with both top-bit values.
+  std::vector<std::array<uint8_t, 32>> encodings;
+  for (int i = 0; i < kDiffIters; ++i) {
+    std::array<uint8_t, 32> e;
+    rng.FillBytes(e.data(), 32);
+    encodings.push_back(e);
+  }
+  for (uint64_t k = 0; k < 19; ++k) {
+    U256 v = FieldPrime();
+    AddSmall(&v, v, k);
+    std::array<uint8_t, 32> e;
+    ScToBytes(e.data(), v);
+    encodings.push_back(e);
+    e[31] |= 0x80;
+    encodings.push_back(e);
+  }
+  std::array<uint8_t, 32> ones;
+  ones.fill(0xff);
+  encodings.push_back(ones);
+  for (const auto& e : encodings) {
+    Fe f = FeFromBytes(e.data());
+    RefFe r = RefFromBytes(e.data());
+    ASSERT_TRUE(SameResidue(f, r)) << Hex32(e.data());
+    ASSERT_TRUE(LimbsBelow(f, uint64_t{1} << 51));
+    EXPECT_EQ(FeIsNegative(f), RefIsNegative(r));
+    EXPECT_EQ(FeIsZero(f), RefIsZero(r));
+  }
+  // ToBytes / canonical predicates over loose limbs up to the widest bound.
+  std::vector<Fe> inputs = EdgeInputs(kFeMulInBound);
+  for (int i = 0; i < kDiffIters; ++i) {
+    inputs.push_back(RandomFeBelow(&rng, kFeMulInBound));
+  }
+  for (const Fe& f : inputs) {
+    RefFe r = ToRef(f);
+    ASSERT_TRUE(SameResidue(f, r));
+    EXPECT_EQ(FeIsNegative(f), RefIsNegative(r));
+    EXPECT_EQ(FeIsZero(f), RefIsZero(r));
+    Fe c = f;
+    FeCanonicalize(&c);
+    EXPECT_TRUE(LimbsBelow(c, uint64_t{1} << 51));
+    EXPECT_LT(Cmp(CanonicalLimbsToU256(c), FieldPrime()), 0);
+    EXPECT_TRUE(SameResidue(c, r));
+  }
+}
+
+TEST(FeDifferentialTest, EqAgreesWithReferenceAcrossRepresentations) {
+  // p + k and k are the same element; p + k and k + 1 are not.
+  std::vector<Fe> above = AbovePrime();
+  for (uint64_t k = 0; k < 19; ++k) {
+    EXPECT_TRUE(FeEq(above[k], FeFromU64(k)));
+    EXPECT_FALSE(FeEq(above[k], FeFromU64(k + 1)));
+    EXPECT_EQ(FeIsZero(above[k]), k == 0);
+  }
+  // 2^255 + 2^255 spelled with an oversized top limb equals 38.
+  Fe two256;
+  two256.v[4] = (uint64_t{1} << 52);
+  EXPECT_TRUE(FeEq(two256, FeFromU64(38)));
+}
+
+// The lazy chains ge25519.cpp builds, replayed with every input at the limb
+// maximum a point coordinate or product may carry (reduced: < 2^52), against
+// the same formulas in the reference field.
+struct PointInputs {
+  Fe x, y, z, t, q_a, q_b, q_c;
+};
+
+PointInputs MaxedInputs(uint64_t limb) {
+  Fe m = AllLimbs(limb);
+  return {m, m, m, m, m, m, m};
+}
+
+void CheckDoubleChain(const PointInputs& in) {
+  // GeDouble: F = (Z^2 + Z^2) + (X^2 - Y^2) is the deepest carry-free sum.
+  Fe a = FeSq(in.x), b = FeSq(in.y), zz = FeSq(in.z);
+  Fe c = FeAdd(zz, zz);
+  Fe h = FeAdd(a, b);
+  Fe e = FeSub(h, FeSq(FeAdd(in.x, in.y)));
+  Fe g = FeSub(a, b);
+  Fe f = FeAdd(c, g);
+  ASSERT_TRUE(LimbsBelow(c, kFeAddInBound));
+  ASSERT_TRUE(LimbsBelow(f, kFeMulInBound));
+  RefFe rx = ToRef(in.x), ry = ToRef(in.y), rz = ToRef(in.z);
+  RefFe ra = RefSq(rx), rb = RefSq(ry), rzz = RefSq(rz);
+  RefFe rh = RefAdd(ra, rb);
+  RefFe re = RefSub(rh, RefSq(RefAdd(rx, ry)));
+  RefFe rg = RefSub(ra, rb);
+  RefFe rf = RefAdd(RefAdd(rzz, rzz), rg);
+  EXPECT_TRUE(SameResidue(FeMul(e, f), RefMul(re, rf)));
+  EXPECT_TRUE(SameResidue(FeMul(g, h), RefMul(rg, rh)));
+  EXPECT_TRUE(SameResidue(FeMul(e, h), RefMul(re, rh)));
+  EXPECT_TRUE(SameResidue(FeMul(f, g), RefMul(rf, rg)));
+}
+
+void CheckAddChains(const PointInputs& in) {
+  // GeAdd / GeAddCached / GeSubCached: sums of two reduced values into
+  // FeMul, a stored Y+X, and G/H sums of products.
+  Fe ypx = FeAdd(in.y, in.x);  // GeToCached's YplusX, stored.
+  Fe ymx = FeSub(in.y, in.x);
+  Fe a = FeMul(ymx, in.q_a);
+  Fe b = FeMul(ypx, FeAdd(in.q_b, in.q_a));
+  Fe c = FeMul(FeMul(in.t, FeAdd(in.q_c, in.q_c)), in.q_c);  // T * 2d * T'.
+  Fe d = FeMul(FeAdd(in.z, in.z), in.q_b);
+  Fe e = FeSub(b, a), f = FeSub(d, c), g = FeAdd(d, c), h = FeAdd(b, a);
+  RefFe rx = ToRef(in.x), ry = ToRef(in.y), rz = ToRef(in.z), rt = ToRef(in.t);
+  RefFe rqa = ToRef(in.q_a), rqb = ToRef(in.q_b), rqc = ToRef(in.q_c);
+  RefFe ra = RefMul(RefSub(ry, rx), rqa);
+  RefFe rb = RefMul(RefAdd(ry, rx), RefAdd(rqb, rqa));
+  RefFe rc = RefMul(RefMul(rt, RefAdd(rqc, rqc)), rqc);
+  RefFe rd = RefMul(RefAdd(rz, rz), rqb);
+  RefFe re = RefSub(rb, ra), rf = RefSub(rd, rc), rg = RefAdd(rd, rc), rh = RefAdd(rb, ra);
+  EXPECT_TRUE(SameResidue(FeMul(e, f), RefMul(re, rf)));
+  EXPECT_TRUE(SameResidue(FeMul(g, h), RefMul(rg, rh)));
+  EXPECT_TRUE(SameResidue(FeMul(e, h), RefMul(re, rh)));
+  EXPECT_TRUE(SameResidue(FeMul(f, g), RefMul(rf, rg)));
+  // GeAddPrecomp: D = Z + Z, then G = D + C and F = D - C.
+  Fe dp = FeAdd(in.z, in.z);
+  Fe gp = FeAdd(dp, c), fp = FeSub(dp, c);
+  ASSERT_TRUE(LimbsBelow(gp, kFeMulInBound));
+  RefFe rdp = RefAdd(rz, rz);
+  EXPECT_TRUE(SameResidue(FeMul(fp, gp), RefMul(RefSub(rdp, rc), RefAdd(rdp, rc))));
+  // GeFromBytes: u = y^2 - 1, v = d y^2 + 1, -u.
+  Fe y2 = FeSq(in.y);
+  Fe u = FeSub(y2, FeOne());
+  Fe v = FeAdd(FeMul(in.q_c, y2), FeOne());
+  RefFe ry2 = RefSq(ry);
+  RefFe ru = RefSub(ry2, RefFromU64(1));
+  EXPECT_TRUE(SameResidue(FeMul(u, v), RefMul(ru, RefAdd(RefMul(rqc, ry2), RefFromU64(1)))));
+  EXPECT_TRUE(SameResidue(FeNeg(u), RefNeg(ru)));
+}
+
+TEST(FeDifferentialTest, CurveChainsAtLimbMaximaMatchReference) {
+  for (uint64_t limb : {kFeReducedBound - 1, kFeLimbMask, uint64_t{1} << 51,
+                        (uint64_t{1} << 51) + (uint64_t{1} << 13)}) {
+    SCOPED_TRACE(limb);
+    CheckDoubleChain(MaxedInputs(limb));
+    CheckAddChains(MaxedInputs(limb));
+  }
+  DeterministicRng rng(107);
+  for (int i = 0; i < 300; ++i) {
+    PointInputs in;
+    for (Fe* f : {&in.x, &in.y, &in.z, &in.t, &in.q_a, &in.q_b, &in.q_c}) {
+      *f = RandomFeBelow(&rng, kFeReducedBound);
+    }
+    CheckDoubleChain(in);
+    CheckAddChains(in);
+  }
+}
+
+TEST(FeDifferentialTest, SqrtM1MatchesReference) {
+  U256 e = FieldPrime();
+  U256 one{1, 0, 0, 0};
+  Sub(&e, e, one);
+  Shr1(&e);
+  Shr1(&e);
+  EXPECT_TRUE(SameResidue(FeSqrtM1(), RefPow(RefFromU64(2), e)));
 }
 
 }  // namespace

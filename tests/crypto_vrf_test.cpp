@@ -2,6 +2,7 @@
 // tamper rejection, backend equivalence of the interface contract.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -9,6 +10,12 @@
 #include "src/crypto/vrf.h"
 
 namespace algorand {
+
+// Prints a backend parameter by name. gtest would otherwise print the
+// pointer, and the ctest names recorded at build time would carry a load
+// address that changes on every relink.
+static void PrintTo(const VrfBackend* vrf, std::ostream* os) { *os << vrf->name(); }
+
 namespace {
 
 Ed25519KeyPair KeyFromRng(DeterministicRng* rng) {
