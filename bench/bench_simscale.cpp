@@ -5,8 +5,10 @@
 // protocol, so regressions in the event queue, message memoization, the
 // parallel engine, or the sortition cache show up here first.
 //
-//   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4 \
+//   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4
 //         --users-per-group=500 --out=BENCH_sim.json [--map-queue] [--seed=N]
+//
+// (one command, wrapped here for width).
 //
 // --workers sweeps ENGINE worker counts: 0 = the classic sequential engine,
 // N >= 1 = the conservative-lookahead parallel engine with N shard workers

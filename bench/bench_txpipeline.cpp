@@ -3,8 +3,10 @@
 // table of millions of entries and 1 MB blocks (§10.2 measures committed
 // throughput of exactly such blocks).
 //
-//   $ ./bench/bench_txpipeline --accounts=1000000 --workers=0,2,4 --rounds=3 \
+//   $ ./bench/bench_txpipeline --accounts=1000000 --workers=0,2,4 --rounds=3
 //         --out=BENCH_txn.json [--real-crypto] [--seed=N]
+//
+// (one command, wrapped here for width).
 //
 // --workers sweeps EXEC worker counts for the block applier (ledger/exec.h):
 // 0 = the sequential tier-1 path, N >= 1 = conflict partitions applied

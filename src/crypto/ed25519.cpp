@@ -8,13 +8,14 @@
 
 namespace algorand {
 
-using internal::GeAdd;
+using internal::GeBuildFixedBaseTable;
+using internal::GeDoubleScalarMultFixed;
 using internal::GeDoubleScalarMultVartime;
 using internal::GeEq;
+using internal::GeFixedBaseTable;
 using internal::GeFromBytes;
 using internal::GeNeg;
 using internal::GePoint;
-using internal::GeScalarMult;
 using internal::GeScalarMultBase;
 using internal::GeToBytes;
 using internal::ScIsCanonical;
@@ -63,26 +64,20 @@ Signature Ed25519Sign(const Ed25519KeyPair& key, std::span<const uint8_t> messag
 
 namespace {
 
-// Shared preamble of both verify paths: canonicality and point decoding
-// checks, then k = SHA-512(R || A || M) mod L. Returns false on malformed
-// input. Both paths must reject exactly the same encodings — decision parity
-// is a tested invariant.
+// The preamble both verify paths share after the key is decoded: S must be
+// canonical and R must decode, then k = SHA-512(R || A || M) mod L over the
+// key's original bytes. Returns false on malformed input.
 bool VerifyPreamble(const PublicKey& pk, std::span<const uint8_t> message, const Signature& sig,
-                    GePoint* a, GePoint* r, uint8_t k[32]) {
+                    GePoint* r, uint8_t k[32]) {
   const uint8_t* r_bytes = sig.data();
   const uint8_t* s_bytes = sig.data() + 32;
   if (!ScIsCanonical(s_bytes)) {
-    return false;
-  }
-  auto a_opt = GeFromBytes(pk.data());
-  if (!a_opt) {
     return false;
   }
   auto r_opt = GeFromBytes(r_bytes);
   if (!r_opt) {
     return false;
   }
-  *a = *a_opt;
   *r = *r_opt;
   Hash512 kh = Sha512()
                    .Update(std::span<const uint8_t>(r_bytes, 32))
@@ -96,27 +91,42 @@ bool VerifyPreamble(const PublicKey& pk, std::span<const uint8_t> message, const
 }  // namespace
 
 bool Ed25519Verify(const PublicKey& pk, std::span<const uint8_t> message, const Signature& sig) {
-  GePoint a, r;
+  auto a = GeFromBytes(pk.data());
+  GePoint r;
   uint8_t k[32];
-  if (!VerifyPreamble(pk, message, sig, &a, &r, k)) {
+  if (!a || !VerifyPreamble(pk, message, sig, &r, k)) {
     return false;
   }
   // [S]B == R + [k]A  <=>  [k](-A) + [S]B == R, one Straus pass.
-  GePoint check = GeDoubleScalarMultVartime(k, GeNeg(a), sig.data() + 32);
+  GePoint check = GeDoubleScalarMultVartime(k, GeNeg(*a), sig.data() + 32);
   return GeEq(check, r);
 }
 
-bool Ed25519VerifyLegacy(const PublicKey& pk, std::span<const uint8_t> message,
-                         const Signature& sig) {
-  GePoint a, r;
+Ed25519PreparedKey::Ed25519PreparedKey(const PublicKey& pk,
+                                       std::unique_ptr<const GeFixedBaseTable> table)
+    : pk_(pk), neg_a_table_(std::move(table)) {}
+
+Ed25519PreparedKey::~Ed25519PreparedKey() = default;
+
+std::shared_ptr<const Ed25519PreparedKey> Ed25519PreparedKey::Prepare(const PublicKey& pk) {
+  auto a = GeFromBytes(pk.data());
+  if (!a) {
+    return nullptr;
+  }
+  auto table = std::make_unique<GeFixedBaseTable>();
+  GeBuildFixedBaseTable(GeNeg(*a), table.get());
+  return std::shared_ptr<const Ed25519PreparedKey>(new Ed25519PreparedKey(pk, std::move(table)));
+}
+
+bool Ed25519Verify(const Ed25519PreparedKey& key, std::span<const uint8_t> message,
+                   const Signature& sig) {
+  GePoint r;
   uint8_t k[32];
-  if (!VerifyPreamble(pk, message, sig, &a, &r, k)) {
+  if (!VerifyPreamble(key.public_key(), message, sig, &r, k)) {
     return false;
   }
-  // Check [S]B == R + [k]A with two independent multiplications.
-  GePoint sb = GeScalarMultBase(sig.data() + 32);
-  GePoint rka = GeAdd(r, GeScalarMult(k, a));
-  return GeEq(sb, rka);
+  GePoint check = GeDoubleScalarMultFixed(k, key.neg_a_table(), sig.data() + 32);
+  return GeEq(check, r);
 }
 
 }  // namespace algorand

@@ -14,7 +14,6 @@ using internal::GeMulByCofactor;
 using internal::GePoint;
 using internal::GeScalarMult;
 using internal::GeScalarMultBase;
-using internal::GeSub;
 using internal::GeToBytes;
 using internal::ScIsCanonical;
 using internal::ScMulAdd;
@@ -119,13 +118,8 @@ VrfResult EcVrfProve(const Ed25519KeyPair& key, std::span<const uint8_t> alpha) 
   return out;
 }
 
-namespace {
-
-// Both verify paths share everything but the U/V curve arithmetic.
-enum class VrfVerifyPath { kDoubleScalar, kLegacy };
-
-std::optional<VrfOutput> EcVrfVerifyImpl(const PublicKey& pk, std::span<const uint8_t> alpha,
-                                         const VrfProof& proof, VrfVerifyPath path) {
+std::optional<VrfOutput> EcVrfVerify(const PublicKey& pk, std::span<const uint8_t> alpha,
+                                     const VrfProof& proof) {
   const uint8_t* gamma_bytes = proof.data();
   const uint8_t* c16 = proof.data() + 32;
   const uint8_t* s_bytes = proof.data() + 48;
@@ -153,14 +147,9 @@ std::optional<VrfOutput> EcVrfVerifyImpl(const PublicKey& pk, std::span<const ui
   std::memcpy(c_scalar, c16, 16);
 
   // U = s*B - c*Y ; V = s*H - c*Gamma.
-  GePoint u, v;
-  if (path == VrfVerifyPath::kDoubleScalar) {
-    u = internal::GeDoubleScalarMultVartime(c_scalar, internal::GeNeg(*y), s_bytes);
-    v = internal::GeTwoScalarMultVartime(s_bytes, *h_point, c_scalar, internal::GeNeg(*gamma));
-  } else {
-    u = GeSub(GeScalarMultBase(s_bytes), GeScalarMult(c_scalar, *y));
-    v = GeSub(GeScalarMult(s_bytes, *h_point), GeScalarMult(c_scalar, *gamma));
-  }
+  GePoint u = internal::GeDoubleScalarMultVartime(c_scalar, internal::GeNeg(*y), s_bytes);
+  GePoint v =
+      internal::GeTwoScalarMultVartime(s_bytes, *h_point, c_scalar, internal::GeNeg(*gamma));
   uint8_t u_bytes[32], v_bytes[32];
   GeToBytes(u_bytes, u);
   GeToBytes(v_bytes, v);
@@ -171,18 +160,6 @@ std::optional<VrfOutput> EcVrfVerifyImpl(const PublicKey& pk, std::span<const ui
     return std::nullopt;
   }
   return GammaToHash(*gamma);
-}
-
-}  // namespace
-
-std::optional<VrfOutput> EcVrfVerify(const PublicKey& pk, std::span<const uint8_t> alpha,
-                                     const VrfProof& proof) {
-  return EcVrfVerifyImpl(pk, alpha, proof, VrfVerifyPath::kDoubleScalar);
-}
-
-std::optional<VrfOutput> EcVrfVerifyLegacy(const PublicKey& pk, std::span<const uint8_t> alpha,
-                                           const VrfProof& proof) {
-  return EcVrfVerifyImpl(pk, alpha, proof, VrfVerifyPath::kLegacy);
 }
 
 VrfResult EcVrf::Prove(const Ed25519KeyPair& key, std::span<const uint8_t> alpha) const {

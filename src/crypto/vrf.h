@@ -34,12 +34,6 @@ VrfResult EcVrfProve(const Ed25519KeyPair& key, std::span<const uint8_t> alpha);
 std::optional<VrfOutput> EcVrfVerify(const PublicKey& pk, std::span<const uint8_t> alpha,
                                      const VrfProof& proof);
 
-// The original verify with four independent scalar multiplications. Kept as
-// the reference implementation for decision-parity tests and the
-// baseline-vs-optimized benchmarks; not used by production paths.
-std::optional<VrfOutput> EcVrfVerifyLegacy(const PublicKey& pk, std::span<const uint8_t> alpha,
-                                           const VrfProof& proof);
-
 // Abstraction over the VRF so simulations can swap the real construction for
 // a cheap deterministic stand-in.
 class VrfBackend {

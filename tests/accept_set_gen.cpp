@@ -6,7 +6,8 @@
 // The committed table pins the accept set, which is a consensus property: a
 // change to the curve or field code that flips one verdict lets a crafted
 // vote split honest nodes. crypto_accept_set_test replays the table against
-// Ed25519Verify, Ed25519VerifyLegacy, EcVrfVerify and EcVrfVerifyLegacy.
+// Ed25519Verify (one-shot and prepared keys), EcVrfVerify and the reference
+// verifiers Ed25519VerifyLegacy and EcVrfVerifyLegacy (tests/crypto_oracle.h).
 // Regenerate only to add cases, and only from a library whose verdicts on the
 // existing rows are unchanged.
 //
@@ -31,6 +32,7 @@
 #include "src/crypto/internal/sc25519.h"
 #include "src/crypto/sha512.h"
 #include "src/crypto/vrf.h"
+#include "tests/crypto_oracle.h"
 
 namespace algorand {
 namespace {

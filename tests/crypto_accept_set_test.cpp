@@ -13,7 +13,9 @@
 #include "src/common/bytes.h"
 #include "src/common/hex.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/signer.h"
 #include "src/crypto/vrf.h"
+#include "tests/crypto_oracle.h"
 
 namespace algorand {
 namespace {
@@ -25,7 +27,7 @@ struct AcceptCase {
   const char* msg;  // Message (Ed25519) or alpha (ECVRF).
   const char* sig;  // Signature (64 bytes) or proof (80 bytes).
   int verdict;      // Ed25519Verify / EcVrfVerify.
-  int legacy;       // Ed25519VerifyLegacy / EcVrfVerifyLegacy.
+  int legacy;       // Ed25519VerifyLegacy / EcVrfVerifyLegacy (tests/crypto_oracle.h).
   const char* output;  // ECVRF beta when accepted, else empty.
 };
 
@@ -89,6 +91,32 @@ TEST(AcceptSetTest, Ed25519VerifyLegacyReproducesPinnedVerdicts) {
     EXPECT_EQ(Ed25519VerifyLegacy(Fixed<32>(c->pk), msg, Fixed<64>(c->sig)), c->legacy != 0)
         << c->name;
   }
+}
+
+TEST(AcceptSetTest, PreparedKeysReproducePinnedVerdicts) {
+  // Every Ed25519 row through a prepared key built for it alone, and through
+  // signers whose cache is cold (each row's first sighting of its key: the
+  // one-shot path) and warm (one signer for the whole table, every row
+  // verified three times, so each key is first recorded, then prepared, then
+  // reused across the rows that share it). A key that does not decode never
+  // gets a table.
+  const Ed25519Signer warm;
+  for (const AcceptCase* c : CasesOf("ed25519")) {
+    std::vector<uint8_t> msg = HexDecode(c->msg).value();
+    const PublicKey pk = Fixed<32>(c->pk);
+    const Signature sig = Fixed<64>(c->sig);
+    auto prepared = Ed25519PreparedKey::Prepare(pk);
+    if (prepared != nullptr) {
+      EXPECT_EQ(Ed25519Verify(*prepared, msg, sig), c->verdict != 0) << c->name;
+    } else {
+      EXPECT_EQ(c->verdict, 0) << c->name;
+    }
+    EXPECT_EQ(Ed25519Signer().Verify(pk, msg, sig), c->verdict != 0) << c->name;
+    for (int sighting = 0; sighting < 3; ++sighting) {
+      EXPECT_EQ(warm.Verify(pk, msg, sig), c->verdict != 0) << c->name << " " << sighting;
+    }
+  }
+  EXPECT_GT(warm.prepared_keys().size(), 1u);
 }
 
 void CheckVrf(const AcceptCase& c, const std::optional<VrfOutput>& got, int expected) {

@@ -6,6 +6,7 @@
 #include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/crypto/ed25519.h"
+#include "tests/crypto_oracle.h"
 
 namespace algorand {
 namespace {

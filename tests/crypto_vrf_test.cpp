@@ -8,6 +8,7 @@
 
 #include "src/common/rng.h"
 #include "src/crypto/vrf.h"
+#include "tests/crypto_oracle.h"
 
 namespace algorand {
 
