@@ -253,17 +253,6 @@ void BM_GeScalarMult(benchmark::State& state) {
 }
 BENCHMARK(BM_GeScalarMult);
 
-void BM_GeScalarMultVartime(benchmark::State& state) {
-  internal::GePoint p = BenchPoint();
-  uint8_t s[32];
-  DeterministicRng rng(5);
-  rng.FillBytes(s, 32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(internal::GeScalarMultVartime(s, p));
-  }
-}
-BENCHMARK(BM_GeScalarMultVartime);
-
 void BM_GeDoubleScalarMult(benchmark::State& state) {
   internal::GePoint p = BenchPoint();
   uint8_t a[32], b[32];
@@ -376,8 +365,7 @@ BENCHMARK(BM_Sortition_CdfUncached);
 // --- Simulation engine ---
 
 void BM_Simulation_ScheduleStep(benchmark::State& state) {
-  const bool map_queue = state.range(0) != 0;
-  Simulation sim(map_queue ? Simulation::QueueKind::kMap : Simulation::QueueKind::kHeap);
+  Simulation sim;
   // Steady-state queue of 4096 pending events, randomized delays: each
   // iteration schedules one event and runs one, the simulator's hot loop.
   DeterministicRng rng(7);
@@ -390,9 +378,8 @@ void BM_Simulation_ScheduleStep(benchmark::State& state) {
     sim.Step();
   }
   benchmark::DoNotOptimize(x);
-  state.SetLabel(map_queue ? "map" : "heap");
 }
-BENCHMARK(BM_Simulation_ScheduleStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_Simulation_ScheduleStep);
 
 void BM_DedupId_Cached_vs_Uncached(benchmark::State& state) {
   const bool fresh_each_time = state.range(0) != 0;

@@ -6,7 +6,7 @@
 // parallel engine, or the sortition cache show up here first.
 //
 //   $ ./bench/bench_simscale --nodes=100,200,500 --rounds=3 --workers=1,2,4
-//         --users-per-group=500 --out=BENCH_sim.json [--map-queue] [--seed=N]
+//         --users-per-group=500 --out=BENCH_sim.json [--seed=N]
 //
 // (one command, wrapped here for width).
 //
@@ -17,10 +17,9 @@
 // --users-per-group=K makes every node host K users' stake (aggregate-user
 // modeling; 1000 nodes x 500 = the paper's 500k-user configuration).
 // --sweep-threads spreads independent sweep points across OS threads
-// (share-nothing; results identical to sequential). --map-queue A/Bs the
-// reference std::map event queue against the default 4-ary heap. The JSON
-// report records wall seconds, wall seconds per round, executed events, and
-// events/sec per sweep point.
+// (share-nothing; results identical to sequential). The JSON report records
+// wall seconds, wall seconds per round, executed events, and events/sec per
+// sweep point.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -45,7 +44,6 @@ struct Options {
   size_t users_per_group = 1;
   size_t sweep_threads = 1;
   uint64_t seed = 1;
-  bool map_queue = false;
   bool help = false;
   std::string out = "BENCH_sim.json";
   // Durable-store A/B: every node writes its disk log under DIR/n<count>/.
@@ -110,8 +108,6 @@ Options Parse(int argc, char** argv) {
       } else {
         opt.help = true;
       }
-    } else if (strcmp(argv[i], "--map-queue") == 0) {
-      opt.map_queue = true;
     } else {
       opt.help = true;
     }
@@ -136,8 +132,6 @@ int main(int argc, char** argv) {
         "  --sweep-threads=N    independent sweep points run on N OS threads\n"
         "                       (default 1)\n"
         "  --seed=N             rng seed (default 1)\n"
-        "  --map-queue          use the reference std::map event queue\n"
-        "                       (sequential engine only)\n"
         "  --data-dir=DIR       durable block store per node under DIR (A/B\n"
         "                       the cost of disk logging on the sim hot path)\n"
         "  --fsync=POLICY       store fsync policy: every_round, batched, off\n"
@@ -155,7 +149,6 @@ int main(int argc, char** argv) {
       spec.n_nodes = n;
       spec.rounds = opt.rounds;
       spec.seed = opt.seed;
-      spec.use_map_event_queue = opt.map_queue;
       spec.sim_workers = w;
       spec.users_per_group = opt.users_per_group;
       if (!opt.data_dir.empty()) {
@@ -169,9 +162,7 @@ int main(int argc, char** argv) {
 
   printf("%-8s %-8s %-10s %-10s %-12s %-12s %-12s %-10s %-8s\n", "nodes", "workers", "users",
          "wall(s)", "wall/round", "events", "events/sec", "med-lat(s)", "safety");
-  std::string json = "{\n  \"queue\": \"";
-  json += opt.map_queue ? "map" : "heap";
-  json += "\",\n  \"store\": \"";
+  std::string json = "{\n  \"store\": \"";
   json += opt.data_dir.empty() ? "none" : FsyncPolicyName(opt.fsync);
   json += "\",\n  \"rounds\": " + std::to_string(opt.rounds);
   json += ",\n  \"seed\": " + std::to_string(opt.seed);
@@ -230,7 +221,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   Note("sim crypto + verification cache (the paper's methodology); committee sizes fixed");
-  Note("--map-queue reruns the sweep on the reference std::map event queue for A/B");
   if (!determinism_ok) {
     fprintf(stderr, "error: parallel worker counts disagreed on executed_events\n");
     return 3;

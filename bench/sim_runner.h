@@ -46,8 +46,6 @@ struct RunSpec {
   // Users hosted per node (aggregate-user modeling); total simulated users =
   // n_nodes * users_per_group.
   size_t users_per_group = 1;
-  // A/B switch for the event-queue benchmark; kMap is the reference queue.
-  bool use_map_event_queue = false;
   // Durable store A/B: when data_dir is non-empty every node streams its
   // rounds to a disk log there — the cost of durability on the sim hot path.
   std::string data_dir;
@@ -84,7 +82,6 @@ inline RunResult RunScenario(const RunSpec& spec) {
   cfg.latency = HarnessConfig::Latency::kCity;
   cfg.use_sim_crypto = !spec.real_crypto;
   cfg.malicious_fraction = spec.malicious_fraction;
-  cfg.use_map_event_queue = spec.use_map_event_queue;
   cfg.data_dir = spec.data_dir;
   cfg.store_fsync = spec.store_fsync;
   cfg.sim_workers = spec.sim_workers;

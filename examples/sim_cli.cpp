@@ -52,7 +52,6 @@ struct CliOptions {
   size_t users_per_group = 1;  // Users hosted per node (aggregation).
   bool real_crypto = false;
   bool uniform_latency = false;
-  bool map_queue = false;
   bool help = false;
   std::string metrics_json;
   std::string trace_jsonl;
@@ -79,7 +78,7 @@ struct CliOptions {
   bool fast_sync = false;
 };
 
-// "3:20:50" -> node 3 crashes at t=20s, restarts (from snapshot) at t=50s.
+// "3:20:50" -> node 3 crashes at t=20s, restarts from its disk log at t=50s.
 // "3:20:50:fresh" restarts with durable state wiped (fresh join);
 // "3:20:0" never restarts. Returns false on malformed input.
 bool ParseCrashSchedule(const std::string& spec,
@@ -203,8 +202,6 @@ CliOptions Parse(int argc, char** argv) {
       opt.real_crypto = true;
     } else if (strcmp(argv[i], "--uniform-latency") == 0) {
       opt.uniform_latency = true;
-    } else if (strcmp(argv[i], "--map-queue") == 0) {
-      opt.map_queue = true;
     } else {
       opt.help = true;
     }
@@ -250,7 +247,6 @@ void PrintHelp() {
       "  --seed=N            deterministic seed (default 1)\n"
       "  --real-crypto       real Ed25519+ECVRF instead of the sim backends\n"
       "  --uniform-latency   50ms uniform links instead of the 20-city model\n"
-      "  --map-queue         reference std::map event queue (A/B testing)\n"
       "  --metrics-json=FILE write the merged metrics snapshot as JSON\n"
       "  --trace-jsonl=FILE  write the BA* round trace (one JSON event/line)\n"
       "  --report-interval=MS  periodic live stats, one JSON line per interval\n"
@@ -261,7 +257,9 @@ void PrintHelp() {
       "                      cross-node trace events (Fig-5 phase breakdown)\n"
       "  --waterfall-json=FILE  write the waterfall as JSON\n"
       "  --crash-schedule=S  chaos: node:crash_s:restart_s[:fresh][,...]\n"
-      "                      (restart_s <= crash_s = never restarts)\n"
+      "                      (restart_s <= crash_s = never restarts); a\n"
+      "                      restart without :fresh replays the node's disk\n"
+      "                      log, so it needs --data-dir\n"
       "  --loss-rate=F       chaos: drop each transmission with prob. F\n"
       "  --partition=S:D     chaos: split the first n/2 nodes from the rest at\n"
       "                      t=S seconds for D seconds, then heal; implies\n"
@@ -315,7 +313,6 @@ int main(int argc, char** argv) {
                                                      4 * opt.tx_load);
   }
   cfg.malicious_fraction = opt.malicious;
-  cfg.use_map_event_queue = opt.map_queue;
   cfg.sim_workers = opt.workers;
   cfg.users_per_group = opt.users_per_group;
   cfg.latency =
@@ -324,6 +321,17 @@ int main(int argc, char** argv) {
       !ParseCrashSchedule(opt.crash_schedule, &cfg.crash_schedule)) {
     fprintf(stderr, "bad --crash-schedule (want node:crash_s:restart_s[:fresh][,...])\n");
     return 2;
+  }
+  for (const HarnessConfig::CrashEvent& ev : cfg.crash_schedule) {
+    // A node's only durable state is its store: without one, a restart that
+    // keeps state has nothing to replay.
+    if (ev.restart_at > ev.crash_at && ev.from_snapshot && opt.data_dir.empty()) {
+      fprintf(stderr,
+              "--crash-schedule restart of node %zu keeps its state, which needs --data-dir "
+              "(or mark it :fresh)\n",
+              ev.node);
+      return 2;
+    }
   }
   cfg.data_dir = opt.data_dir;
   cfg.store_fsync = opt.fsync;
@@ -466,7 +474,7 @@ int main(int argc, char** argv) {
          safety.ok ? "holds" : safety.violation.c_str(), chains_ok ? "yes" : "no");
   uint64_t events = h.sim().executed_events();
   printf("engine: %s | wall %.2fs | %llu events | %.0f events/sec\n",
-         cfg.sim_workers > 0 ? engine.c_str() : (opt.map_queue ? "map queue" : "heap queue"),
+         cfg.sim_workers > 0 ? engine.c_str() : "heap queue",
          wall_s, static_cast<unsigned long long>(events),
          wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
 
@@ -490,8 +498,8 @@ int main(int argc, char** argv) {
     }
     MetricsSnapshot chaos = h.AggregateMetrics();
     if (!opt.data_dir.empty()) {
-      // Restarts went through the disk log, not the in-memory snapshot; a
-      // crash-restart run that never replayed a round did not exercise it.
+      // Stateful restarts replay the disk log; a crash-restart run that
+      // never replayed a round did not exercise it.
       printf("store: fsync=%s | %llu records, %llu fsyncs, %llu replayed rounds\n",
              FsyncPolicyName(opt.fsync),
              static_cast<unsigned long long>(chaos.counters["store.records_written"]),

@@ -1,7 +1,11 @@
 #include "src/check/model_checker.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -32,8 +36,10 @@ uint64_t Prefix64(const Bytes& h) {
 
 // The harness configuration every schedule runs under: the small, fast,
 // fully deterministic shape the tier-1 tests use (sequential engine, inline
-// verification, sim crypto, uniform latency).
-HarnessConfig MakeHarnessConfig(const CheckConfig& cfg) {
+// verification, sim crypto, uniform latency). `store_dir` non-empty gives
+// every node a disk log there, written synchronously without fsync so the
+// I/O never changes a replay.
+HarnessConfig MakeHarnessConfig(const CheckConfig& cfg, const std::string& store_dir) {
   HarnessConfig hc;
   hc.n_nodes = cfg.n_nodes;
   hc.rng_seed = cfg.harness_seed;
@@ -50,6 +56,9 @@ HarnessConfig MakeHarnessConfig(const CheckConfig& cfg) {
   hc.malicious_fraction = cfg.malicious_fraction;
   hc.grinding_count = cfg.grinding_count;
   hc.grind_withhold = cfg.grind_withhold;
+  hc.data_dir = store_dir;
+  hc.store_background_writer = false;
+  hc.store_fsync = FsyncPolicy::kOff;
   if (cfg.seeded_bug) {
     hc.node_factory = [](NodeId id, Simulation* sim, GossipAgent* gossip,
                          const Ed25519KeyPair& key, const GenesisConfig& genesis,
@@ -139,6 +148,23 @@ void ScheduleCrashProbe(CrashProbeState* st) {
 
 }  // namespace
 
+ModelChecker::ModelChecker(CheckConfig config) : config_(config) {
+  if (config_.max_crash_events > 0) {
+    static std::atomic<uint64_t> next_id{0};
+    store_dir_ = (std::filesystem::temp_directory_path() /
+                  ("algorand-check-" + std::to_string(getpid()) + "-" +
+                   std::to_string(next_id.fetch_add(1))))
+                     .string();
+  }
+}
+
+ModelChecker::~ModelChecker() {
+  if (!store_dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(store_dir_, ec);
+  }
+}
+
 std::string ScheduleOutcome::Fingerprint() const {
   std::ostringstream out;
   out << "completed=" << (completed ? 1 : 0) << ";safety=" << (safety_ok ? 1 : 0)
@@ -167,8 +193,14 @@ ScheduleOutcome ModelChecker::RunOne(const ChoiceTrace& prefix) {
 }
 
 ScheduleOutcome ModelChecker::RunWithStrategy(Strategy* strategy) {
-  const HarnessConfig hc = MakeHarnessConfig(config_);
+  const HarnessConfig hc = MakeHarnessConfig(config_, store_dir_);
   ScheduleOutcome out;
+  if (!store_dir_.empty()) {
+    // The harness replays any log it finds at construction: every schedule
+    // starts from empty disks.
+    std::error_code ec;
+    std::filesystem::remove_all(store_dir_, ec);
+  }
 
   size_t adversary_budget = config_.adversary_max_decisions;
   // One recorded decision per (voter pk prefix, round): gossip relays
@@ -186,7 +218,12 @@ ScheduleOutcome ModelChecker::RunWithStrategy(Strategy* strategy) {
   SafetyAuditor auditor(acfg);
 
   SimHarness h(hc);
-  h.tracer().SetObserver([&auditor](const TraceEvent& ev) { auditor.Observe(ev); });
+  h.tracer().SetObserver([&auditor, &out](const TraceEvent& ev) {
+    auditor.Observe(ev);
+    if (ev.kind == TraceKind::kRestart && ev.flag != 0) {
+      ++out.restores;
+    }
+  });
 
   DeliveryChoiceHook hook(strategy, config_.window, config_.max_candidates);
   h.sim().set_choice_hook(&hook);

@@ -54,7 +54,9 @@ struct CheckConfig {
 
   // Crash/restart choice points: every `crash_probe_interval` a probe may
   // kill an alive node or restart a killed one, at most `max_crash_events`
-  // times per schedule (0 = disabled).
+  // times per schedule (0 = disabled). A restarted node replays its disk
+  // log (Node::RestoreFromStore), so crash schedules give every node a block
+  // store in a scratch directory that the checker owns.
   size_t max_crash_events = 0;
   SimTime crash_probe_interval = Seconds(5);
 
@@ -83,6 +85,7 @@ struct ScheduleOutcome {
   std::vector<std::string> violations;
   uint64_t executed_events = 0;
   uint64_t equivocations = 0;
+  uint64_t restores = 0;  // Crash restarts that replayed a non-empty store.
   std::vector<uint64_t> tips;          // Per-node chain length.
   std::vector<uint64_t> tip_prefixes;  // Per-node tip-hash prefix (uint64).
   ChoiceTrace trace;                   // As recorded by the strategy.
@@ -93,7 +96,11 @@ struct ScheduleOutcome {
 
 class ModelChecker {
  public:
-  explicit ModelChecker(CheckConfig config) : config_(config) {}
+  explicit ModelChecker(CheckConfig config);
+  // Removes the crash schedules' store directory.
+  ~ModelChecker();
+  ModelChecker(const ModelChecker&) = delete;
+  ModelChecker& operator=(const ModelChecker&) = delete;
 
   const CheckConfig& config() const { return config_; }
 
@@ -140,6 +147,9 @@ class ModelChecker {
 
  private:
   CheckConfig config_;
+  // Per-checker directory under the system temp dir holding every node's
+  // store while a crash schedule runs; empty when max_crash_events == 0.
+  std::string store_dir_;
 };
 
 }  // namespace algorand

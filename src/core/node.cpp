@@ -1495,42 +1495,6 @@ void Node::AbortCatchup() {
 // Crash/restart support
 // ---------------------------------------------------------------------------
 
-NodeSnapshot Node::Snapshot() const {
-  NodeSnapshot snap;
-  snap.shard_count = shard_count_;
-  for (uint64_t r = ledger_.base_round() + 1; r < ledger_.chain_length(); ++r) {
-    snap.blocks.push_back(ledger_.BlockAtRound(r));
-    snap.kinds.push_back(static_cast<uint8_t>(ledger_.ConsensusAtRound(r)));
-  }
-  for (const auto& [round, cert] : certificates_) {
-    snap.certificates.push_back(cert);
-  }
-  for (const auto& [round, cert] : final_certificates_) {
-    snap.final_certificates.push_back(cert);
-  }
-  return snap;
-}
-
-bool Node::RestoreSnapshot(const NodeSnapshot& snapshot) {
-  if (ledger_.chain_length() != 1 || snapshot.blocks.size() != snapshot.kinds.size()) {
-    return false;  // Restore only into a genesis-fresh node.
-  }
-  for (size_t i = 0; i < snapshot.blocks.size(); ++i) {
-    ConsensusKind kind = static_cast<ConsensusKind>(snapshot.kinds[i]);
-    if (!ledger_.Append(snapshot.blocks[i], kind)) {
-      return false;
-    }
-  }
-  shard_count_ = snapshot.shard_count == 0 ? 1 : snapshot.shard_count;
-  for (const Certificate& cert : snapshot.certificates) {
-    certificates_[cert.round] = cert;
-  }
-  for (const Certificate& cert : snapshot.final_certificates) {
-    final_certificates_[cert.round] = cert;
-  }
-  return true;
-}
-
 bool Node::RestoreFromStore(BlockStore* store) {
   if (store == nullptr || ledger_.chain_length() != 1) {
     return false;  // Restore only into a genesis-fresh node.

@@ -27,7 +27,6 @@
 #include "src/core/fastsync.h"
 #include "src/core/fork_monitor.h"
 #include "src/core/params.h"
-#include "src/core/snapshot.h"
 #include "src/core/sortition.h"
 #include "src/core/tx_verifier.h"
 #include "src/core/verification_cache.h"
@@ -147,15 +146,6 @@ class Node : public BaEnvironment {
   bool RestoreFromStore(BlockStore* store);
 
   // --- Crash/restart (fault injection) ---
-  // Serializes the node's durable state: chain, consensus kinds, stored
-  // certificates and the shard configuration. Volatile state (BA* progress,
-  // buffered messages, the transaction pool) is deliberately excluded — a
-  // crash loses it.
-  NodeSnapshot Snapshot() const;
-  // Loads a snapshot into a freshly constructed node (chain still at
-  // genesis). Returns false if the node already made progress or the
-  // snapshot's chain does not apply.
-  bool RestoreSnapshot(const NodeSnapshot& snapshot);
   // Permanently stops this node: kills all pending timers via the scheduling
   // epoch and makes every handler a no-op. Used by the harness to park a
   // "crashed" node whose callbacks may still sit in the event queue.

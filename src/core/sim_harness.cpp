@@ -73,9 +73,7 @@ SimHarness::SimHarness(HarnessConfig config)
     // from the shared-stream sequential engine, so this is parallel-only.
     latency_->SetPerSenderStreams(config_.n_nodes);
   } else {
-    sim_ = std::make_unique<Simulation>(config_.use_map_event_queue
-                                            ? Simulation::QueueKind::kMap
-                                            : Simulation::QueueKind::kHeap);
+    sim_ = std::make_unique<Simulation>();
   }
   network_ =
       std::make_unique<Network>(sim_.get(), latency_.get(), config_.net, config_.n_nodes);
@@ -135,7 +133,6 @@ SimHarness::SimHarness(HarnessConfig config)
     nodes_.push_back(std::move(node));
   }
   alive_.assign(config_.n_nodes, true);
-  snapshots_.resize(config_.n_nodes);
   stores_.resize(config_.n_nodes);
   if (!config_.data_dir.empty()) {
     for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -247,13 +244,10 @@ void SimHarness::KillNode(size_t i) {
   }
   if (stores_[i] != nullptr) {
     // SIGKILL semantics: queued-but-unwritten log operations die with the
-    // process; whatever was write()n is what restart will find. No snapshot
-    // — the on-disk log is the durable state under test.
+    // process; whatever was write()n is what restart will find. The on-disk
+    // log is the node's only durable state; everything in memory is lost.
     stores_[i]->Crash();
     store_graveyard_.push_back(std::move(stores_[i]));
-  } else {
-    // Durable state survives the crash; everything in-memory is lost.
-    snapshots_[i] = nodes_[i]->Snapshot().Serialize();
   }
   TraceEvent ev;
   ev.at = sim_->now();
@@ -311,9 +305,6 @@ void SimHarness::RestartNode(size_t i, bool from_snapshot) {
       restored = node->RestoreFromStore(store.get()) && store->max_round() > 0;
       stores_[i] = std::move(store);
     }
-  } else if (from_snapshot && !snapshots_[i].empty()) {
-    auto snap = NodeSnapshot::Deserialize(snapshots_[i]);
-    restored = snap.has_value() && node->RestoreSnapshot(*snap);
   }
   node->AttachObservability(metrics_[i].get(), &tracer_);
   TraceEvent ev;

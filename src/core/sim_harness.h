@@ -43,11 +43,6 @@ struct HarnessConfig {
   // paper's replace-crypto-with-sleeps methodology for very large runs.
   bool use_sim_crypto = false;
 
-  // Event-queue implementation. The 4-ary heap is the default; the std::map
-  // queue is kept for determinism regression tests (both produce identical
-  // executions — see Simulation::QueueKind).
-  bool use_map_event_queue = false;
-
   // Parallel event loop. 0 (default) = the classic sequential engine,
   // bit-compatible with every earlier release. >= 1 = the conservative-
   // lookahead ParallelSimulation with that many shard workers; any N produces
@@ -113,9 +108,9 @@ struct HarnessConfig {
   // BlockStore at <data_dir>/node-<i> and streams its committed rounds
   // there. KillNode then Crash()es the store (queued writes are lost, like a
   // SIGKILL) and RestartNode rebuilds the node by replaying the on-disk log
-  // (Node::RestoreFromStore) — the in-memory snapshot path is bypassed, so
-  // disk is the durable state under test. A dir that already holds a log is
-  // replayed at construction (process-level restarts).
+  // (Node::RestoreFromStore). The store is a node's only durable state: with
+  // data_dir empty, every restart is genesis-fresh. A dir that already holds
+  // a log is replayed at construction (process-level restarts).
   std::string data_dir;
   FsyncPolicy store_fsync = FsyncPolicy::kBatched;
   // false = synchronous writes on the protocol thread (deterministic I/O
@@ -124,13 +119,15 @@ struct HarnessConfig {
 
   // Fault injection: declarative crash/restart schedule, applied at Start().
   // A crashed node stops processing and receiving; at restart_at it comes
-  // back from its snapshotted durable state (or empty, simulating a fresh
-  // join) and catches up to the live chain via the peer catch-up protocol.
+  // back by replaying its store (or empty, simulating a fresh join) and
+  // catches up to the live chain via the peer catch-up protocol.
   struct CrashEvent {
     size_t node = 0;
     SimTime crash_at = 0;
-    SimTime restart_at = 0;     // 0 (or <= crash_at) = never restarts.
-    bool from_snapshot = true;  // false = lose durable state, rejoin fresh.
+    SimTime restart_at = 0;  // 0 (or <= crash_at) = never restarts.
+    // true = replay the store (needs data_dir; without one there is nothing
+    // durable and the node rejoins fresh); false = wipe it, rejoin fresh.
+    bool from_snapshot = true;
   };
   std::vector<CrashEvent> crash_schedule;
 
@@ -227,10 +224,12 @@ class SimHarness {
   uint64_t CommittedTxCount(size_t i = 0) const;
 
   // Fault injection (usable directly or via config.crash_schedule).
-  // KillNode snapshots the node's durable state, halts it and stops
-  // delivering to it. RestartNode replaces it with a fresh Node — restored
-  // from the snapshot taken at kill time, or genesis-fresh — and starts it;
-  // the catch-up protocol brings it to the live tip.
+  // KillNode crashes the node's store (if any), halts the node and stops
+  // delivering to it. RestartNode replaces it with a fresh Node and starts
+  // it; the catch-up protocol brings it to the live tip. from_snapshot = true
+  // keeps the durable state: the node replays its store through
+  // Node::RestoreFromStore (genesis-fresh when data_dir is empty). false
+  // wipes the store first, as if the disk were lost.
   void KillNode(size_t i);
   void RestartNode(size_t i, bool from_snapshot = true);
   bool node_alive(size_t i) const { return alive_[i]; }
@@ -262,7 +261,6 @@ class SimHarness {
   // being destroyed: the simulator's event queue may still hold lambdas that
   // capture their raw `this`.
   std::vector<bool> alive_;
-  std::vector<std::vector<uint8_t>> snapshots_;
   std::vector<std::unique_ptr<Node>> graveyard_;
   std::unique_ptr<NetworkAdversary> net_adversary_;
   std::vector<std::unique_ptr<MetricsRegistry>> metrics_;

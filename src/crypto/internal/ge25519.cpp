@@ -384,16 +384,6 @@ GePoint GeDoubleScalarMultFixed(const uint8_t a[32], const GeFixedBaseTable& p_t
   return FixedBaseEvaluate(digits_a, p_table, digits_b, &BaseFixedTable());
 }
 
-GePoint GeScalarMultVartime(const uint8_t scalar[32], const GePoint& p) {
-  int8_t naf[kWNafMaxDigits];
-  int len = ScWNaf(naf, scalar, 5);
-  if (len == 0) {
-    return GeIdentity();
-  }
-  OddTable table = BuildOddTable(p);
-  return WNafEvaluate(naf, len, table, naf, 0, &table);
-}
-
 GePoint GeDoubleScalarMultVartime(const uint8_t a[32], const GePoint& A, const uint8_t b[32]) {
   int8_t naf_a[kWNafMaxDigits];
   int8_t naf_b[kWNafMaxDigits];

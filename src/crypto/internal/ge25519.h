@@ -82,14 +82,11 @@ GePoint GeScalarMultBase(const uint8_t scalar[32]);
 
 // --- Verification fast paths (variable time, public inputs only) ---
 //
-// Width-5 w-NAF over a per-call table of odd multiples {1,3,...,15}*p:
-// 256 doublings but only ~43 additions against GeScalarMult's ~128.
-GePoint GeScalarMultVartime(const uint8_t scalar[32], const GePoint& p);
-
 // [a]A + [b]B for the standard base point B (Straus/Shamir interleaving):
 // one shared doubling chain, w-NAF(5) digits of `a` against the per-call
-// table of A, w-NAF(7) digits of `b` against a static affine table of odd
-// base-point multiples. The workhorse of Ed25519 and ECVRF verification.
+// table of odd multiples {1,3,...,15}*A, w-NAF(7) digits of `b` against a
+// static affine table of odd base-point multiples. The workhorse of Ed25519
+// and ECVRF verification.
 GePoint GeDoubleScalarMultVartime(const uint8_t a[32], const GePoint& A, const uint8_t b[32]);
 
 // [a]P + [b]B from P's fixed-base table and the static table of B: the

@@ -16,12 +16,7 @@ void Simulation::ScheduleAt(SimTime when, Callback fn) {
   if (when < now_) {
     when = now_;
   }
-  const uint64_t seq = next_seq_++;
-  if (queue_kind_ == QueueKind::kMap) {
-    map_queue_.emplace(Key{when, seq}, std::move(fn));
-    return;
-  }
-  HeapPush(Event{when, seq, std::move(fn)});
+  HeapPush(Event{when, next_seq_++, std::move(fn)});
 }
 
 void Simulation::HeapPush(Event ev) {
@@ -72,16 +67,6 @@ Simulation::Event Simulation::HeapPop() {
 }
 
 bool Simulation::Step() {
-  if (queue_kind_ == QueueKind::kMap) {
-    if (map_queue_.empty()) {
-      return false;
-    }
-    auto node = map_queue_.extract(map_queue_.begin());
-    now_ = node.key().first;
-    ++executed_;
-    node.mapped()();
-    return true;
-  }
   if (heap_.empty()) {
     return false;
   }
@@ -139,25 +124,7 @@ void Simulation::Run() {
 
 void Simulation::RunUntil(SimTime deadline) {
   stopped_ = false;
-  for (;;) {
-    if (stopped_) {
-      break;
-    }
-    SimTime next;
-    if (queue_kind_ == QueueKind::kMap) {
-      if (map_queue_.empty()) {
-        break;
-      }
-      next = map_queue_.begin()->first.first;
-    } else {
-      if (heap_.empty()) {
-        break;
-      }
-      next = heap_.front().when;
-    }
-    if (next > deadline) {
-      break;
-    }
+  while (!stopped_ && !heap_.empty() && heap_.front().when <= deadline) {
     Step();
   }
   // The full window elapsed only if nothing stopped us early.

@@ -6,12 +6,10 @@
 // pair replays identically every run.
 //
 // The queue is a 4-ary array heap of (when, seq, callback) events. Keying on
-// the insertion sequence makes the ordering total, so the heap pops events in
-// exactly the (time, insertion) order the reference std::map implementation
-// used — replays are bit-identical across both (QueueKind::kMap keeps the map
-// around for the determinism regression test and A/B benchmarking). The 4-ary
-// layout halves tree depth versus a binary heap and keeps the sift working
-// set in one or two cache lines; callbacks live in a small-buffer slot
+// the insertion sequence makes the ordering total, so events pop in exactly
+// (time, insertion) order and replays are bit-identical. The 4-ary layout
+// halves tree depth versus a binary heap and keeps the sift working set in
+// one or two cache lines; callbacks live in a small-buffer slot
 // (UniqueCallback) so sift moves shuffle 64-ish-byte events instead of
 // chasing per-node allocations.
 //
@@ -23,7 +21,6 @@
 #define ALGORAND_SRC_NETSIM_SIMULATION_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +30,7 @@
 
 namespace algorand {
 
-// Model-checker seam: when installed on a (sequential, heap-queue) Simulation,
+// Model-checker seam: when installed on a sequential Simulation,
 // the hook is consulted at every dequeue where more than one event is eligible
 // to run "next" under a weak-synchrony window. Events whose timestamps lie
 // within `Window()` of the earliest pending event are concurrent candidates
@@ -58,22 +55,16 @@ class Simulation : public Executor {
  public:
   using Callback = Executor::Callback;
 
-  enum class QueueKind {
-    kHeap,  // 4-ary array heap (default).
-    kMap,   // Reference node-based std::map; same ordering, kept for tests.
-  };
-
   // Stream id for events not owned by any simulated node (harness probes,
   // crash schedules, reporters). The parallel engine runs them at window
   // barriers, when every worker is parked.
   static constexpr uint32_t kGlobalStream = UINT32_MAX;
 
-  explicit Simulation(QueueKind queue = QueueKind::kHeap) : queue_kind_(queue) {}
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   SimTime now() const override { return now_; }
-  QueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules `fn` to run `delay` from now (negative delays clamp to now).
   void Schedule(SimTime delay, Callback fn) override;
@@ -107,9 +98,7 @@ class Simulation : public Executor {
 
   virtual void Stop() { stopped_ = true; }
   virtual bool stopped() const { return stopped_; }
-  virtual size_t pending_events() const {
-    return queue_kind_ == QueueKind::kHeap ? heap_.size() : map_queue_.size();
-  }
+  virtual size_t pending_events() const { return heap_.size(); }
   virtual uint64_t executed_events() const { return executed_; }
 
   // Engine-specific counters folded into metrics snapshots ("sim.windows",
@@ -117,8 +106,8 @@ class Simulation : public Executor {
   virtual std::vector<std::pair<std::string, uint64_t>> EngineStats() const { return {}; }
 
   // Installs (or clears, with nullptr) the model checker's scheduling hook.
-  // Supported only on the sequential heap engine; the parallel engine and the
-  // reference map queue ignore it. Not owned.
+  // Supported only on the sequential engine; the parallel engine ignores it.
+  // Not owned.
   void set_choice_hook(ScheduleChoiceHook* hook) { choice_hook_ = hook; }
   ScheduleChoiceHook* choice_hook() const { return choice_hook_; }
 
@@ -142,16 +131,12 @@ class Simulation : public Executor {
   // Step() body when a choice hook is installed and >1 event is pending.
   void StepWithChoice();
 
-  using Key = std::pair<SimTime, uint64_t>;  // (when, sequence): total order.
-
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   bool stopped_ = false;
-  QueueKind queue_kind_;
   ScheduleChoiceHook* choice_hook_ = nullptr;
   std::vector<Event> heap_;
-  std::map<Key, Callback> map_queue_;
 };
 
 }  // namespace algorand

@@ -41,7 +41,7 @@ enum class TraceKind : uint8_t {
   kCatchupBatch = 10,  // a = blocks applied, b = responding peer.
   kCatchupDone = 11,   // a = rounds gained, round = new tip round.
   kCrash = 12,         // round = chain length at crash (harness-injected).
-  kRestart = 13,       // flag = restarted from snapshot (1) or fresh (0).
+  kRestart = 13,       // flag = replayed a non-empty store (1) or fresh (0).
   // Causal block-lifecycle events (cross-node latency waterfalls).
   kProposalGossiped = 14,  // a = proposer's weighted votes, value = block hash.
   kBlockReceived = 15,     // a = origin node, b = origination time (ns),

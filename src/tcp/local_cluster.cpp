@@ -32,7 +32,6 @@ LocalCluster::LocalCluster(const LocalClusterConfig& config)
   agents_.resize(config_.n_nodes);
   nodes_.resize(config_.n_nodes);
   alive_.assign(config_.n_nodes, true);
-  snapshots_.resize(config_.n_nodes);
   stores_.resize(config_.n_nodes);
   for (NodeId i = 0; i < config_.n_nodes; ++i) {
     metrics_.push_back(std::make_unique<MetricsRegistry>());
@@ -108,12 +107,10 @@ void LocalCluster::KillNode(size_t i) {
   }
   if (stores_[i] != nullptr) {
     // SIGKILL semantics: queued log writes die, files close without flush;
-    // restart finds exactly what the OS already had. No snapshot — the disk
-    // log is the durable state.
+    // restart finds exactly what the OS already had. The disk log is the
+    // node's only durable state.
     stores_[i]->Crash();
     store_graveyard_.push_back(std::move(stores_[i]));
-  } else {
-    snapshots_[i] = nodes_[i]->Snapshot().Serialize();
   }
   TraceEvent ev;
   ev.at = loop_.now();
@@ -146,13 +143,7 @@ void LocalCluster::RestartNode(size_t i, bool from_snapshot) {
     std::filesystem::remove_all(config_.data_dir + "/node-" + std::to_string(i), ec);
   }
   WireSlot(i);  // With data_dir set, this reopens and replays the disk log.
-  bool restored = false;
-  if (!config_.data_dir.empty()) {
-    restored = nodes_[i]->ledger().chain_length() > 1;
-  } else if (from_snapshot && !snapshots_[i].empty()) {
-    auto snap = NodeSnapshot::Deserialize(snapshots_[i]);
-    restored = snap.has_value() && nodes_[i]->RestoreSnapshot(*snap);
-  }
+  const bool restored = nodes_[i]->ledger().chain_length() > 1;
   TraceEvent ev;
   ev.at = loop_.now();
   ev.node = static_cast<uint32_t>(i);

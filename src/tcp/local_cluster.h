@@ -34,8 +34,8 @@ struct LocalClusterConfig {
   bool enable_reconnect = false;
   // Durable storage: when non-empty, node i keeps a BlockStore at
   // <data_dir>/node-<i>. KillNode Crash()es the store and RestartNode
-  // reopens it from disk (Node::RestoreFromStore) instead of using the
-  // in-memory snapshot.
+  // reopens it from disk (Node::RestoreFromStore). When empty, a node has no
+  // durable state and every restart is genesis-fresh.
   std::string data_dir;
   FsyncPolicy store_fsync = FsyncPolicy::kBatched;
   bool store_background_writer = true;
@@ -62,11 +62,13 @@ class LocalCluster {
   // True if every pair of nodes agrees on all common rounds.
   bool ChainsConsistent() const;
 
-  // Fault injection: KillNode snapshots durable state, halts the node and
-  // tears down its sockets (peers see EOF and begin reconnect-with-backoff).
-  // RestartNode rebinds the same port, rebuilds endpoint/agent/node —
-  // restored from the snapshot or genesis-fresh — and starts it; catch-up
-  // brings it to the live tip.
+  // Fault injection: KillNode crashes the node's store (if any), halts the
+  // node and tears down its sockets (peers see EOF and begin
+  // reconnect-with-backoff). RestartNode rebinds the same port, rebuilds
+  // endpoint/agent/node and starts it; catch-up brings it to the live tip.
+  // from_snapshot = true keeps the durable state: the node replays its store
+  // (genesis-fresh when it has none). false wipes the store first, as if the
+  // disk were lost.
   void KillNode(size_t i);
   void RestartNode(size_t i, bool from_snapshot = true);
   bool node_alive(size_t i) const { return alive_[i]; }
@@ -101,7 +103,6 @@ class LocalCluster {
   // Crash/restart bookkeeping: halted nodes (and their agents) are parked,
   // not destroyed — event-loop timers may still hold their raw pointers.
   std::vector<bool> alive_;
-  std::vector<std::vector<uint8_t>> snapshots_;
   std::vector<std::unique_ptr<Node>> node_graveyard_;
   std::vector<std::unique_ptr<GossipAgent>> agent_graveyard_;
   EcVrf ec_vrf_;

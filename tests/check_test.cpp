@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -184,6 +185,41 @@ TEST(ModelCheckerTest, CrashInjectionSchedulesStaySafe) {
   ModelChecker::ExploreResult res = checker.RunRandom(8, 5);
   EXPECT_EQ(res.schedules, 8u);
   EXPECT_EQ(res.violations, 0u);
+}
+
+TEST(ModelCheckerTest, CrashRestartReplaysTheStoreAndTheTraceReplays) {
+  // A crash choice restarts a node from its disk log: the checker's crash
+  // states reach Node::RestoreFromStore, and the recorded schedule replays
+  // to the same fingerprint through a counterexample artifact, as
+  // `check_cli --mode=replay` does.
+  CheckConfig cfg = TinyConfig();
+  cfg.rounds = 2;
+  cfg.max_crash_events = 2;
+  ModelChecker checker(cfg);
+  std::optional<ScheduleOutcome> restored;
+  for (uint64_t seed = 1; seed <= 40 && !restored; ++seed) {
+    RandomStrategy strategy(seed, cfg.max_choice_points);
+    ScheduleOutcome out = checker.RunWithStrategy(&strategy);
+    ASSERT_TRUE(out.safety_ok) << out.Fingerprint();
+    if (out.restores > 0) {
+      restored = out;
+    }
+  }
+  ASSERT_TRUE(restored.has_value()) << "no schedule restarted a node with stored rounds";
+  // Each schedule starts from empty disks: rerunning it on the same checker,
+  // whose directory still holds the logs of the earlier runs, reproduces it.
+  EXPECT_EQ(checker.RunOne(restored->trace).Fingerprint(), restored->Fingerprint());
+
+  const std::string path = ::testing::TempDir() + "check_test_crash_trace.txt";
+  ASSERT_TRUE(ModelChecker::WriteCounterexample(path, checker.config(), *restored));
+  auto ce = ModelChecker::ReadCounterexample(path);
+  ASSERT_TRUE(ce.has_value());
+  EXPECT_EQ(ce->config.max_crash_events, 2u);
+  ModelChecker replayer(ce->config);
+  ScheduleOutcome replay = replayer.RunOne(ce->trace);
+  EXPECT_FALSE(replay.diverged);
+  EXPECT_EQ(replay.Fingerprint(), ce->fingerprint);
+  EXPECT_EQ(replay.restores, restored->restores);
 }
 
 // --- The seeded safety bug -------------------------------------------------

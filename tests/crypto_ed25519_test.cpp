@@ -6,6 +6,7 @@
 #include "src/common/hex.h"
 #include "src/common/rng.h"
 #include "src/crypto/ed25519.h"
+#include "src/crypto/internal/ge25519.h"
 #include "tests/crypto_oracle.h"
 
 namespace algorand {
@@ -113,13 +114,32 @@ TEST(Ed25519Test, VerifyRejectsNonCanonicalS) {
 }
 
 TEST(Ed25519Test, VerifyRejectsGarbagePublicKey) {
-  // An all-0xff key is not a valid point encoding.
-  PublicKey bad;
-  for (size_t i = 0; i < bad.size(); ++i) {
-    bad[i] = 0xff;
+  // A canonical y < p off the curve: (y^2 - 1) / (d y^2 + 1) has no square
+  // root, so no x exists. Found by trying small y.
+  PublicKey off_curve;
+  bool found = false;
+  for (uint8_t y = 2; y < 16 && !found; ++y) {
+    off_curve[0] = y;
+    found = !internal::GeFromBytes(off_curve.data()).has_value();
   }
-  Signature sig;
-  EXPECT_FALSE(Ed25519Verify(bad, BytesOfString("x"), sig));
+  ASSERT_TRUE(found);
+  // Under that key, an honest signature (made by another key) must fail, and
+  // the key must not prepare.
+  DeterministicRng rng(105);
+  Ed25519KeyPair kp = KeyFromRng(&rng);
+  Signature sig = Ed25519Sign(kp, BytesOfString("x"));
+  ASSERT_TRUE(Ed25519Verify(kp.public_key, BytesOfString("x"), sig));
+  EXPECT_FALSE(Ed25519Verify(off_curve, BytesOfString("x"), sig));
+  EXPECT_EQ(Ed25519PreparedKey::Prepare(off_curve), nullptr);
+
+  // An all-0xff key does decode: y = 2^255 - 1 is the non-canonical
+  // encoding of y = 18, which is on the curve. This only checks that a zero
+  // signature fails under it.
+  PublicKey all_ff;
+  for (size_t i = 0; i < all_ff.size(); ++i) {
+    all_ff[i] = 0xff;
+  }
+  EXPECT_FALSE(Ed25519Verify(all_ff, BytesOfString("x"), Signature()));
 }
 
 TEST(Ed25519Test, DistinctSeedsDistinctKeys) {

@@ -1,14 +1,16 @@
 // Determinism regression: a (seed, scenario) pair must replay identically —
-// same per-node chains, same executed-event count — on both event-queue
-// implementations (reference std::map and the 4-ary heap), across repeat
-// runs, and across parallel-engine worker counts (workers=4 must be
-// bit-identical to workers=1). This is the contract that makes every other
-// test in the suite reproducible, so it gets its own canary.
+// same per-node chains, same executed-event count — against pinned golden
+// values, across repeat runs, and across parallel-engine worker counts
+// (workers=4 must be bit-identical to workers=1). This is the contract that
+// makes every other test in the suite reproducible, so it gets its own
+// canary.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/sim_harness.h"
+#include "src/crypto/sha256.h"
 #include "src/obs/safety_auditor.h"
 
 namespace algorand {
@@ -22,11 +24,26 @@ struct RunOutcome {
   bool operator==(const RunOutcome& o) const {
     return tips == o.tips && lengths == o.lengths && executed_events == o.executed_events;
   }
+
+  // SHA-256 over every node's (tip hash, 8-byte little-endian chain length),
+  // in node order: one hex string that pins all the chains.
+  std::string ChainsDigest() const {
+    Sha256 d;
+    for (size_t i = 0; i < tips.size(); ++i) {
+      d.Update(std::span<const uint8_t>(tips[i].data(), tips[i].size()));
+      uint8_t len[8];
+      for (int b = 0; b < 8; ++b) {
+        len[b] = static_cast<uint8_t>(lengths[i] >> (8 * b));
+      }
+      d.Update(std::span<const uint8_t>(len, 8));
+    }
+    return d.Finish().ToHex();
+  }
 };
 
-// sim_workers: -1 = sequential engine (map_queue selects its queue); >= 1 =
-// the conservative-lookahead parallel engine with that many shard workers.
-RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int sim_workers = -1) {
+// sim_workers: -1 = sequential engine; >= 1 = the conservative-lookahead
+// parallel engine with that many shard workers.
+RunOutcome RunOnce(uint64_t seed, double malicious = 0.0, int sim_workers = -1) {
   HarnessConfig cfg;
   cfg.n_nodes = 20;
   cfg.rng_seed = seed;
@@ -35,7 +52,6 @@ RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int si
   // (the pipeline never changes decisions, but this test compares exact event
   // counts, which prewarming does perturb).
   cfg.verify_workers = 0;
-  cfg.use_map_event_queue = map_queue;
   cfg.malicious_fraction = malicious;
   if (sim_workers >= 1) {
     cfg.sim_workers = static_cast<size_t>(sim_workers);
@@ -63,27 +79,34 @@ RunOutcome RunOnce(uint64_t seed, bool map_queue, double malicious = 0.0, int si
   return out;
 }
 
-TEST(SimDeterminismTest, HeapAndMapQueuesProduceIdenticalRuns) {
-  for (uint64_t seed : {1u, 7u}) {
-    RunOutcome heap = RunOnce(seed, /*map_queue=*/false);
-    RunOutcome map = RunOnce(seed, /*map_queue=*/true);
-    EXPECT_EQ(heap.executed_events, map.executed_events) << "seed=" << seed;
-    EXPECT_TRUE(heap == map) << "seed=" << seed;
-  }
+// Golden values for the sequential engine, taken at a commit where an
+// independent std::map event queue reproduced them exactly. Update them
+// deliberately when the protocol or engine changes behaviour, never to
+// absorb accidental drift.
+TEST(SimDeterminismTest, PinnedSeedsReproduceGoldenRuns) {
+  RunOutcome one = RunOnce(1);
+  EXPECT_EQ(one.executed_events, 44641u);
+  EXPECT_EQ(one.ChainsDigest(),
+            "617bafcf1375ae61b6fc82af701607d4ea174ea7d8612a3e25bcd1f163727d89");
+  RunOutcome seven = RunOnce(7);
+  EXPECT_EQ(seven.executed_events, 43244u);
+  EXPECT_EQ(seven.ChainsDigest(),
+            "a63a5eb62e77b9a25aafaebd858db78a68a160d688aab8f93942ba010a9a1e29");
 }
 
 TEST(SimDeterminismTest, RepeatRunsAreBitIdentical) {
-  RunOutcome a = RunOnce(42, /*map_queue=*/false);
-  RunOutcome b = RunOnce(42, /*map_queue=*/false);
+  RunOutcome a = RunOnce(42);
+  RunOutcome b = RunOnce(42);
   EXPECT_TRUE(a == b);
 }
 
 TEST(SimDeterminismTest, HoldsUnderAdversarialTraffic) {
   // Equivocating nodes stress duplicate/relay paths where the memoized
   // DedupId and the seen-window pruning do the most work.
-  RunOutcome heap = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2);
-  RunOutcome map = RunOnce(5, /*map_queue=*/true, /*malicious=*/0.2);
-  EXPECT_TRUE(heap == map);
+  RunOutcome out = RunOnce(5, /*malicious=*/0.2);
+  EXPECT_EQ(out.executed_events, 50264u);
+  EXPECT_EQ(out.ChainsDigest(),
+            "ecc5b0da98ce3b837547fc882f628b8d008d499ac5816460fa80c92b28cdb9a2");
 }
 
 // The parallel-engine contract: the conservative-lookahead windows and
@@ -93,8 +116,8 @@ TEST(SimDeterminismTest, HoldsUnderAdversarialTraffic) {
 // executed-event count.
 TEST(SimDeterminismTest, ParallelWorkersProduceIdenticalRuns) {
   for (uint64_t seed : {1u, 7u, 42u}) {
-    RunOutcome one = RunOnce(seed, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/1);
-    RunOutcome four = RunOnce(seed, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/4);
+    RunOutcome one = RunOnce(seed, /*malicious=*/0.0, /*sim_workers=*/1);
+    RunOutcome four = RunOnce(seed, /*malicious=*/0.0, /*sim_workers=*/4);
     EXPECT_EQ(one.executed_events, four.executed_events) << "seed=" << seed;
     EXPECT_TRUE(one == four) << "seed=" << seed;
   }
@@ -103,15 +126,15 @@ TEST(SimDeterminismTest, ParallelWorkersProduceIdenticalRuns) {
 TEST(SimDeterminismTest, ParallelHoldsUnderAdversarialTraffic) {
   // Equivocators plus cross-shard relay storms: the worst case for the
   // exchange queues, since most duplicate traffic crosses shard boundaries.
-  RunOutcome one = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2, /*sim_workers=*/1);
-  RunOutcome four = RunOnce(5, /*map_queue=*/false, /*malicious=*/0.2, /*sim_workers=*/4);
+  RunOutcome one = RunOnce(5, /*malicious=*/0.2, /*sim_workers=*/1);
+  RunOutcome four = RunOnce(5, /*malicious=*/0.2, /*sim_workers=*/4);
   EXPECT_EQ(one.executed_events, four.executed_events);
   EXPECT_TRUE(one == four);
 }
 
 TEST(SimDeterminismTest, ParallelRepeatRunsAreBitIdentical) {
-  RunOutcome a = RunOnce(42, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/3);
-  RunOutcome b = RunOnce(42, /*map_queue=*/false, /*malicious=*/0.0, /*sim_workers=*/3);
+  RunOutcome a = RunOnce(42, /*malicious=*/0.0, /*sim_workers=*/3);
+  RunOutcome b = RunOnce(42, /*malicious=*/0.0, /*sim_workers=*/3);
   EXPECT_TRUE(a == b);
 }
 

@@ -344,6 +344,10 @@ TEST(TcpClusterTest, KilledNodeRejoinsViaCatchupOverTcp) {
   cfg.params.catchup_timeout = Seconds(2);
   cfg.params.catchup_backoff_base = Millis(200);
   cfg.params.catchup_backoff_max = Seconds(2);
+  // Node 2 comes back by replaying its disk log, a node's only durable state.
+  cfg.data_dir = ::testing::TempDir() + "algorand_tcp_rejoin";
+  cfg.store_background_writer = false;
+  std::filesystem::remove_all(cfg.data_dir);
 
   LocalCluster cluster(cfg);
   cluster.Start();
@@ -371,6 +375,7 @@ TEST(TcpClusterTest, KilledNodeRejoinsViaCatchupOverTcp) {
   EXPECT_EQ(m.counters["restart.restarts"], 1u);
   EXPECT_GE(m.counters["catchup.completed"], 1u);
   EXPECT_GE(m.counters["catchup.blocks_applied"], 1u);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 TEST(TcpClusterTest, KilledNodeRestartsFromDiskLog) {
@@ -406,8 +411,8 @@ TEST(TcpClusterTest, KilledNodeRestartsFromDiskLog) {
   EXPECT_EQ(cluster.node_store(2), nullptr);  // Parked with the dead node.
   ASSERT_TRUE(cluster.RunRounds(5, Seconds(60)));
   cluster.RestartNode(2, /*from_snapshot=*/true);
-  // The restart replayed the disk log (not the in-memory snapshot): the
-  // rebuilt ledger already holds the pre-crash rounds before catch-up runs.
+  // The restart replayed the disk log: the rebuilt ledger already holds the
+  // pre-crash rounds before catch-up runs.
   ASSERT_NE(cluster.node_store(2), nullptr);
   EXPECT_GE(cluster.node_store(2)->replayed_rounds(), 2u);
   EXPECT_GE(cluster.node(2).ledger().chain_length(), 3u);

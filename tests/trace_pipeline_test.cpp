@@ -4,6 +4,7 @@
 // honest and adversarial runs, and the periodic stats reporter's JSON-lines
 // output.
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -532,6 +533,10 @@ TEST(SafetyAuditorSimTest, SilentOnHonestChaosRun) {
   cfg.params = ProtocolParams::ScaledCommittees(0.5);
   cfg.crash_schedule.push_back({3, Seconds(10), Seconds(30), true});
   cfg.crash_schedule.push_back({7, Seconds(15), Seconds(40), false});
+  // Node 3 restarts from its disk log, the only durable state a node has.
+  cfg.data_dir = ::testing::TempDir() + "algorand_audited_chaos";
+  cfg.store_background_writer = false;
+  std::filesystem::remove_all(cfg.data_dir);
   SimHarness h(cfg);
   SafetyAuditorConfig audit_cfg;
   audit_cfg.step_threshold = cfg.params.StepThreshold();
@@ -543,6 +548,7 @@ TEST(SafetyAuditorSimTest, SilentOnHonestChaosRun) {
   EXPECT_TRUE(auditor.ok()) << auditor.Report();
   EXPECT_EQ(auditor.equivocations(), 0u);
   EXPECT_TRUE(h.CheckSafety().ok);
+  std::filesystem::remove_all(cfg.data_dir);
 }
 
 // ---------------------------------------------------------------------------
